@@ -1,19 +1,22 @@
 """Ablation A5: incremental CP maintenance vs. per-step recomputation.
 
 CPClean's inner loop re-evaluates Q2 for every validation point after every
-cleaning step. :class:`~repro.core.incremental.IncrementalCPState` prunes
-(test point, cleaned row) pairs where the row provably never enters the
-top-K, replacing a full scan with an exact big-integer division. This bench
-cleans every dirty row of a synthetic workload twice — once recomputing
-from scratch, once incrementally — asserts bit-identical counts, and
-reports the speedup and the prune hit rate.
+cleaning step. Applying each pin as a
+:class:`~repro.core.deltas.CellRepair` to a
+:class:`~repro.core.deltas.DeltaMaintainedState` (what the ``incremental``
+planner backend does) skips (test point, cleaned row) pairs where the row
+provably never enters the top-K, replacing a full scan with an exact
+big-integer division. This bench cleans every dirty row of a synthetic
+workload twice — once recomputing from scratch, once incrementally —
+asserts bit-identical counts, and reports the speedup and the prune hit
+rate.
 """
 
 import time
 
 import numpy as np
 
-from repro.core.incremental import IncrementalCPState
+from repro.core.deltas import CellRepair, DeltaMaintainedState
 from repro.core.prepared import PreparedQuery
 from repro.experiments.complexity import random_instance
 from repro.utils.tables import format_table
@@ -33,9 +36,9 @@ def test_ablation_incremental_vs_recompute(benchmark, emit):
     dataset, points, pins = _workload()
 
     def incremental():
-        state = IncrementalCPState(dataset, points, k=K)
+        state = DeltaMaintainedState(dataset, points, k=K)
         for row, cand in pins:
-            state.pin(row, cand)
+            state.apply(CellRepair(row, cand))
         return state
 
     state = benchmark.pedantic(incremental, rounds=1, iterations=1)

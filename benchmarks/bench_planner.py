@@ -87,7 +87,7 @@ def bench_cleaning_steps(task, steps: int) -> dict:
             pins[row] = cand
             query = make_query(dataset, val_X, kind="counts", k=k, pins=pins)
             if backend is not None:
-                trace.append(backend.execute(query))
+                trace.append(backend.execute(query)[0])
             else:
                 trace.append(
                     execute_query(

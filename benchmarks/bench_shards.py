@@ -86,8 +86,7 @@ def bench_speedup(task, tile_rows: int, tile_candidates: int, repeats: int) -> d
 def bench_memory_model(task, tile_rows: int, tile_candidates: int) -> dict:
     backend = ShardedBackend(tile_rows=tile_rows, tile_candidates=tile_candidates)
     query = make_query(task.incomplete, task.val_X, kind="counts", k=task.k)
-    backend.execute(query, ExecutionOptions(cache=False))
-    stats = dict(backend.last_stats)
+    _, stats = backend.execute(query, ExecutionOptions(cache=False))
     stats["resident_fraction"] = stats["tile_buffer_bytes"] / stats["dense_bytes"]
     return stats
 
@@ -100,15 +99,15 @@ def bench_tiling_invariance(task) -> dict:
     rows = []
     for tile_rows, tile_candidates in ((1, 1), (4, 32), (1_000_000, 1_000_000)):
         backend = ShardedBackend(tile_rows=tile_rows, tile_candidates=tile_candidates)
-        values = backend.execute(query, ExecutionOptions(cache=False))
+        values, stats = backend.execute(query, ExecutionOptions(cache=False))
         assert values == reference, (
             f"tiling {tile_rows}x{tile_candidates} changed the results"
         )
         rows.append(
             {
-                "tile_rows": backend.last_stats["tile_rows"],
-                "tile_candidates": backend.last_stats["tile_candidates"],
-                "n_tiles_streamed": backend.last_stats["n_tiles_streamed"],
+                "tile_rows": stats["tile_rows"],
+                "tile_candidates": stats["tile_candidates"],
+                "n_tiles_streamed": stats["n_tiles_streamed"],
                 "identical": True,
             }
         )

@@ -45,7 +45,6 @@ name                                what it is
 ``QueryResultCache``                the LRU result cache used by the batch backend
 ``batch_q2_counts``                 Q2 counts for every row of a test matrix
 ``batch_certain_labels``            CP'ed labels for every row of a test matrix
-``IncrementalCPState``              exact Q2 counts maintained across cleaning pins
 ``CellRepair``, ``RowAppend``, ``RowDelete``  the base-data write (delta) vocabulary
 ``DeltaMaintainedState``            O(Δ) delta absorption, bit-identical to recompute
 ``apply_delta_to_dataset``          the pure-dataset form of applying one delta
@@ -88,7 +87,6 @@ from repro.core import (
     DeltaMaintainedState,
     ExecutionOptions,
     IncompleteDataset,
-    IncrementalCPState,
     RowAppend,
     RowDelete,
     KNNClassifier,
@@ -144,7 +142,6 @@ __all__ = [
     "register_backend",
     "get_backend",
     "backend_names",
-    "IncrementalCPState",
     "CellRepair",
     "RowAppend",
     "RowDelete",

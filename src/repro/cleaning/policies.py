@@ -33,6 +33,8 @@ from repro.cleaning.report import CleaningReport
 from repro.cleaning.sequential import CleaningSession, CleaningStrategy
 from repro.core.dataset import IncompleteDataset
 from repro.core.kernels import Kernel
+from repro.core.minmax import row_extremes
+from repro.core.pruning import prune_mask
 from repro.core.topk_prob import topk_inclusion_probabilities
 
 __all__ = [
@@ -54,10 +56,9 @@ def _uncertain_points(session: CleaningSession) -> list[int]:
 class ReachCountStrategy(CleaningStrategy):
     """Clean the row that can reach the top-K of the most uncertain points.
 
-    A row *reaches* a validation point when its best candidate similarity
-    is not dominated by ``K`` other rows' guaranteed similarities — the
-    same criterion :class:`~repro.core.incremental.IncrementalCPState`
-    uses for pruning, inverted into a selection score.
+    A row *reaches* a validation point when it is not dominated by ``K``
+    other rows' guaranteed similarities — the domination rule of
+    :func:`repro.core.pruning.prune_mask`, inverted into a selection score.
     """
 
     name = "reach-count"
@@ -65,27 +66,12 @@ class ReachCountStrategy(CleaningStrategy):
     def select(self, session: CleaningSession, remaining: list[int]) -> tuple[int, float | None]:
         if not remaining:
             raise ValueError("no dirty rows remain to select from")
-        uncertain = _uncertain_points(session)
-        best_row, best_score = remaining[0], -1
-        for row in remaining:
-            score = 0
-            for point in uncertain:
-                query = session.queries[point]
-                sims = query._row_sims
-                best = sims[row].max()  # remaining rows are never pinned
-                n_dominating = 0
-                for other in range(session.dataset.n_rows):
-                    if other == row:
-                        continue
-                    pinned = session.fixed.get(other)
-                    low = sims[other][pinned] if pinned is not None else sims[other].min()
-                    if low > best:
-                        n_dominating += 1
-                if n_dominating < session.k:
-                    score += 1
-            if score > best_score:
-                best_row, best_score = row, score
-        return best_row, None
+        offsets = session.dataset.stacked_candidates()[4]
+        scores = np.zeros(session.dataset.n_rows, dtype=np.int64)
+        for point in _uncertain_points(session):
+            mins, maxs = row_extremes(session.batch.sims_matrix[point], offsets, session.fixed)
+            scores += ~prune_mask(mins, maxs, session.k)
+        return max(remaining, key=lambda row: scores[row]), None
 
 
 class MembershipUncertaintyStrategy(CleaningStrategy):

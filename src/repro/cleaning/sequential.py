@@ -17,13 +17,14 @@ candidate-distance state for the whole validation set) and shared
 backend the planner runs. The ``backend`` parameter picks the execution
 strategy: ``"auto"`` uses the vectorised-MinMax batch path for binary
 labels and the ``incremental`` backend otherwise — the latter keeps exact
-Q2 counts maintained across cleaning steps
-(:class:`~repro.core.incremental.IncrementalCPState`) instead of
+Q2 counts maintained across cleaning steps (one
+:class:`~repro.core.deltas.DeltaMaintainedState` per query family, each
+pin applied as a :class:`~repro.core.deltas.CellRepair`) instead of
 re-preparing every validation point after every pin. The expected-entropy
 scoring of candidate rows can fan out across ``n_jobs`` worker processes.
 Strategies only implement :meth:`CleaningStrategy.select`; the per-point
-:class:`~repro.core.prepared.PreparedQuery` objects remain available as
-``session.queries`` for code that works one point at a time.
+:class:`~repro.core.prepared.PreparedQuery` views of the session's
+prepared batch are available as ``session.queries``.
 """
 
 from __future__ import annotations

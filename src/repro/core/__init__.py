@@ -47,7 +47,6 @@ from repro.core.deltas import (
     apply_delta_to_dataset,
 )
 from repro.core.engine import sortscan_counts
-from repro.core.incremental import IncrementalCPState
 from repro.core.label_uncertainty import (
     LabelUncertainDataset,
     label_uncertain_certain_label,
@@ -168,7 +167,6 @@ __all__ = [
     "weighted_prediction_probabilities",
     "uniform_candidate_weights",
     "condition_weights",
-    "IncrementalCPState",
     "CellRepair",
     "RowAppend",
     "RowDelete",

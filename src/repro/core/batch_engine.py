@@ -1,77 +1,53 @@
-"""Parallel batch CP query executor with prepared-distance caching.
+"""Batch CP query preparation, worker fan-out and result caching.
 
-The per-point query path (:mod:`repro.core.prepared`,
-:mod:`repro.core.engine`) answers one certain-prediction query at a time:
-each :class:`~repro.core.prepared.PreparedQuery` recomputes candidate
-similarities row by row, sorts them, and runs the SortScan counting loop in
-pure Python. That is the right shape for interactive use but not for the
-batch workloads this library actually serves — screening a whole test set,
-or CPClean re-evaluating the same validation points after every cleaning
-step. This module is the batch execution layer above the per-query kernel:
+This module is the substrate the planner's backends share
+(:mod:`repro.core.planner`):
 
-* :class:`PreparedBatch` extends the prepared layer across an entire test
-  set: the full candidate-distance matrix is computed in **one** vectorised
-  :meth:`~repro.core.kernels.Kernel.pairwise` call over the stacked
-  candidate matrix, and per-point scan orders are derived from its rows on
-  demand (bit-identical to :func:`repro.core.scan.compute_scan_order`).
-* :class:`BatchQueryExecutor` runs the counting query over every test point
-  through a tuned scan kernel (:func:`_counts_from_scan` — same exact
-  big-integer algorithm as :class:`~repro.core.engine.LabelPolynomials`,
-  restructured to avoid per-position allocations and NumPy scalar boxing)
-  and can fan the per-point scans out across a ``multiprocessing`` worker
-  pool: ``n_jobs`` forked workers pull index chunks from a shared task
-  queue (:func:`fanout_map`), inheriting the prepared arrays read-only
-  through copy-on-write fork memory, so nothing is pickled per task except
-  the tiny result vectors.
+* :class:`PreparedBatch` is the prepared state of a whole test set: the
+  ``(T, P)`` candidate-similarity matrix comes from **one** vectorised
+  :meth:`~repro.core.kernels.Kernel.pairwise` call over the dataset's
+  cached stacked candidate matrix (the one preparation path, see
+  :mod:`repro.core.scan`), and per-point scan orders and
+  :class:`~repro.core.prepared.PreparedQuery` views are derived from its
+  rows on demand.
+* :func:`fanout_map` fans per-point work out across a ``multiprocessing``
+  worker pool: ``n_jobs`` forked workers pull index chunks from a shared
+  task queue, inheriting the prepared arrays read-only through
+  copy-on-write fork memory, so nothing is pickled per task except the
+  tiny result values.
 * :class:`QueryResultCache` is an LRU result cache keyed by
-  ``(dataset fingerprint, test-point hash, k, kernel, pins)``. Repeated
-  queries — the common case in CPClean's sequential cleaning loop, which
-  re-checks validation certainty round after round — are served without
-  recomputation, and any change to the dataset changes its
+  ``(dataset fingerprint, test-point hash, k, kernel, pins, ...)``.
+  Repeated queries — the common case in CPClean's sequential cleaning
+  loop, which re-checks validation certainty round after round — are
+  served without recomputation, and any change to the dataset changes its
   :meth:`~repro.core.dataset.IncompleteDataset.fingerprint`, so stale
   entries can never be returned.
+* :class:`BatchQueryExecutor`, :func:`batch_q2_counts` and
+  :func:`batch_certain_labels` are the direct entry points of the
+  planner's ``batch`` backend for the plain counting flavors.
 
-All outputs are verified bit-identical to the sequential per-point path
+All outputs are verified bit-identical to the sequential backend
 (``tests/core/test_batch_engine.py``); ``benchmarks/bench_batch_engine.py``
 measures the speedup on Table 2-style workloads.
-
-Since the planner refactor this module is the substrate of the ``batch``
-backend (:class:`repro.core.planner.BatchParallelBackend`), which extends
-the same shared-preparation + fan-out + caching treatment to the weighted,
-top-k and label-uncertain task flavors; new code should reach it through
-:func:`repro.core.planner.execute_query` rather than constructing
-executors directly.
 """
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
 import sys
 import threading
 import uuid
 from collections import OrderedDict
-from collections.abc import Callable, Iterable, Mapping, Sequence
-from functools import lru_cache
-from math import prod
+from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
 import numpy as np
 
 from repro.core.dataset import IncompleteDataset
-from repro.core.entropy import certain_label_from_counts
 from repro.core.kernels import Kernel, resolve_kernel
-from repro.core.knn import majority_label, top_k_rows
-from repro.core.polynomials import poly_one
 from repro.core.prepared import PreparedQuery
-from repro.core.scan import (
-    ScanOrder,
-    _scan_from_sims,
-    candidate_index_arrays,
-    stack_candidates,
-)
-from repro.core.tally import tallies_with_prediction
+from repro.core.scan import ScanOrder, scan_from_sims, similarity_matrix
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = [
@@ -171,197 +147,6 @@ def fanout_map(
 
 
 # ---------------------------------------------------------------------------
-# The tuned batch counting kernel
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _tally_plans(
-    k: int, n_labels: int
-) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]:
-    """Per boundary-row label: the tally loop, pre-resolved.
-
-    ``plans[y]`` lists ``(winner, wants)`` for every tally with
-    ``tally[y] >= 1``, where ``wants`` pairs each label with the
-    coefficient index it must contribute (the boundary row's own label
-    needs one slot fewer). Hoisting this out of the scan loop removes the
-    per-position tally filtering of the reference engine.
-    """
-    plans = []
-    for y in range(n_labels):
-        plan = []
-        for tally, winner in tallies_with_prediction(k, n_labels):
-            if tally[y] < 1:
-                continue
-            wants = tuple(
-                (label, slots - 1 if label == y else slots)
-                for label, slots in enumerate(tally)
-            )
-            plan.append((winner, wants))
-        plans.append(tuple(plan))
-    return tuple(plans)
-
-
-def _counts_from_scan(
-    scan: ScanOrder,
-    k: int,
-    n_labels: int,
-    fixed: Mapping[int, int] | None = None,
-) -> list[int]:
-    """Q2 counts from a precomputed scan order — the batch engine's kernel.
-
-    Exactly the incremental algorithm of
-    :func:`repro.core.engine.sortscan_counts` /
-    :meth:`repro.core.prepared.PreparedQuery.counts` (same big-integer
-    polynomial updates in the same order, so results are bit-identical),
-    restructured for batch throughput: scan arrays are converted to plain
-    Python lists once, the per-position tally loop uses the precomputed
-    :func:`_tally_plans`, the linear-factor updates run in place on the
-    coefficient lists (no per-step allocations or calls into
-    :mod:`repro.core.polynomials`), and the forced-shift bookkeeping is
-    applied on the fly instead of materialising shifted coefficient arrays
-    at every boundary position. The truncated divisions are exact by
-    construction (see :mod:`repro.core.polynomials`); the closing
-    sum-over-worlds assertion would catch any violation.
-    """
-    rows = scan.rows.tolist()
-    cands = scan.cands.tolist()
-    row_labels = scan.row_labels.tolist()
-    counts = scan.row_counts.tolist()
-    pinned: list[int] | None = None
-    if fixed:
-        pinned = [-1] * len(counts)
-        for row, cand in fixed.items():
-            if not 0 <= cand < counts[row]:
-                raise IndexError(
-                    f"fixed candidate {cand} out of range for row {row} "
-                    f"with {counts[row]} candidates"
-                )
-            counts[row] = 1
-            pinned[row] = cand
-
-    plans = _tally_plans(k, n_labels)
-    n = len(row_labels)
-    alpha = [0] * n
-    polys = [poly_one(k) for _ in range(n_labels)]
-    forced_count = [0] * n_labels
-    forced_scale = [1] * n_labels
-    for i in range(n):
-        forced_count[row_labels[i]] += 1
-        forced_scale[row_labels[i]] *= counts[i]
-    result = [0] * n_labels
-
-    for pos in range(len(rows)):
-        i = rows[pos]
-        if pinned is not None:
-            pin = pinned[i]
-            if pin >= 0 and cands[pos] != pin:
-                continue
-        a = alpha[i] = alpha[i] + 1
-        label_i = row_labels[i]
-        m = counts[i]
-        poly = polys[label_i]
-        if a == 1:
-            # The row leaves the forced-above set and gains a real factor:
-            # poly *= (1 + (m-1) z), in place (descending, so each step
-            # reads the not-yet-updated lower coefficient).
-            forced_count[label_i] -= 1
-            forced_scale[label_i] //= m
-            b = m - 1
-            for c in range(k, 0, -1):
-                poly[c] += b * poly[c - 1]
-        else:
-            # poly = poly / ((a-1) + (m-a+1) z) * (a + (m-a) z), in place:
-            # the exact truncated division runs ascending (each step reads
-            # the already-updated lower coefficient), the multiplication
-            # descending.
-            a0 = a - 1
-            b0 = m - a + 1
-            poly[0] //= a0
-            for c in range(1, k + 1):
-                poly[c] = (poly[c] - b0 * poly[c - 1]) // a0
-            b = m - a
-            for c in range(k, 0, -1):
-                poly[c] = a * poly[c] + b * poly[c - 1]
-            poly[0] *= a
-        # Coefficients with the boundary row's own factor divided out.
-        b = m - a
-        excluded = [0] * (k + 1)
-        excluded[0] = prev = poly[0] // a
-        for c in range(1, k + 1):
-            excluded[c] = prev = (poly[c] - b * prev) // a
-        for winner, wants in plans[label_i]:
-            support = 1
-            for label, want in wants:
-                index = want - forced_count[label]
-                if 0 <= index <= k:
-                    base = excluded if label == label_i else polys[label]
-                    coeff = base[index]
-                    if coeff:
-                        support *= forced_scale[label] * coeff
-                        continue
-                support = 0
-                break
-            if support:
-                result[winner] += support
-
-    expected_total = prod(counts)
-    if sum(result) != expected_total:
-        raise AssertionError(
-            f"internal error: counts sum to {sum(result)} but there are "
-            f"{expected_total} possible worlds"
-        )
-    return result
-
-
-def _counts_worker(index: int) -> tuple[int, list[int]]:
-    """Pool worker: count one test point from fork-inherited prepared state."""
-    prepared, k, n_labels, fixed = get_fanout_state()
-    return index, _counts_from_scan(prepared.scan(index), k, n_labels, fixed)
-
-
-def _pruned_counts_worker(index: int) -> tuple[int, list[int], dict]:
-    """Pool worker: prune-then-count one point straight from the sims row.
-
-    Never touches ``prepared.scan(index)`` — pruning happens *before* the
-    sort, which is where the clustered-candidate speedup comes from.
-    """
-    from repro.core.pruning import pruned_counts_from_sims
-
-    prepared, k, n_labels, fixed = get_fanout_state()
-    counts, stats = pruned_counts_from_sims(
-        prepared.sims_matrix[index],
-        prepared._rows,
-        prepared._cands,
-        prepared._labels,
-        prepared._counts,
-        k,
-        n_labels,
-        fixed,
-    )
-    return index, counts, stats
-
-
-def _pruned_decision_worker(index: int) -> tuple[int, int | None, dict]:
-    """Pool worker: prune + vectorised decision scan for one point."""
-    from repro.core.pruning import pruned_decision_from_sims
-
-    prepared, k, n_labels, fixed, implementation = get_fanout_state()
-    decision, stats = pruned_decision_from_sims(
-        prepared.sims_matrix[index],
-        prepared._rows,
-        prepared._cands,
-        prepared._labels,
-        prepared._counts,
-        k,
-        n_labels,
-        fixed,
-        implementation=implementation,
-    )
-    return index, decision.certain_label, stats
-
-
-# ---------------------------------------------------------------------------
 # The LRU result cache
 # ---------------------------------------------------------------------------
 
@@ -454,14 +239,14 @@ class QueryResultCache:
 class PreparedBatch:
     """Shared prepared state for CP queries against an entire test set.
 
-    Extends the per-point prepared layer (:class:`PreparedQuery`): the
-    candidate-distance matrix for *all* test points is computed in one
-    vectorised kernel call, and per-point scan orders / prepared queries
-    are materialised from its rows on demand and cached. All derived state
-    is bit-identical to what the per-point path computes, so every consumer
-    of :class:`PreparedQuery` can be handed a batch-built instance
-    transparently (this is how
+    The candidate-similarity matrix for *all* test points is computed in
+    one vectorised kernel call over the dataset's stacked candidates;
+    per-point scan orders and :class:`PreparedQuery` views are built from
+    its rows on demand and cached (this is how
     :class:`repro.cleaning.sequential.CleaningSession` gets its queries).
+    A point's scan equals ``compute_scan_order(dataset, test_X[i],
+    kernel)``: the kernels reduce every candidate row on its own, so a row
+    of the stacked matrix has the same bits as a one-point computation.
     """
 
     def __init__(
@@ -481,27 +266,14 @@ class PreparedBatch:
         self.kernel = resolve_kernel(kernel)
         self.test_X = check_matrix(test_X, "test_X", n_cols=dataset.n_features)
         if sims_matrix is None:
-            stacked, rows, cands, counts = stack_candidates(dataset)
+            self.sims_matrix = similarity_matrix(dataset, self.test_X, self.kernel)
         else:
-            rows, cands, counts = candidate_index_arrays(dataset)
-        self._rows = rows
-        self._cands = cands
-        self._counts = counts
-        # offsets[i] is where row i's candidates start in the stacked order.
-        self._offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts)]
-        )
-        self._labels = dataset.labels.copy()
-        if sims_matrix is None:
-            # The whole (T, P) candidate-similarity matrix in one kernel call.
-            self.sims_matrix = self.kernel.pairwise(stacked, self.test_X)
-        else:
-            # A caller-computed similarity matrix — the sharded layer hands
-            # in views of its streamed tile buffer so a tile-sized
-            # PreparedBatch is zero-copy. The caller owns correctness of
-            # the values; the shape contract is enforced here.
+            # A caller-computed similarity matrix (the delta layer's
+            # maintained blocks, a streamed sharded tile), so no kernel work
+            # is repeated. The caller owns correctness of the values; the
+            # shape contract is enforced here.
             sims_matrix = np.asarray(sims_matrix, dtype=np.float64)
-            expected = (self.test_X.shape[0], int(rows.shape[0]))
+            expected = (self.test_X.shape[0], int(dataset.stacked_candidates()[4][-1]))
             if sims_matrix.shape != expected:
                 raise ValueError(
                     f"sims_matrix must have shape {expected}, got {sims_matrix.shape}"
@@ -521,45 +293,19 @@ class PreparedBatch:
 
     # ------------------------------------------------------------------
     def scan(self, index: int) -> ScanOrder:
-        """The scan order of test point ``index`` (built lazily, cached).
-
-        Identical to ``compute_scan_order(dataset, test_X[index], kernel)``
-        — same similarities, same tie-break — but sorted from the shared
-        similarity matrix instead of recomputing distances.
-        """
+        """The scan order of test point ``index`` (built lazily, cached)."""
         scan = self._scans[index]
         if scan is None:
-            scan = _scan_from_sims(
-                self.sims_matrix[index], self._rows, self._cands, self._labels, self._counts
-            )
+            scan = scan_from_sims(self.dataset, self.sims_matrix[index])
             self._scans[index] = scan
         return scan
-
-    def materialize_scans(self, indices: Sequence[int] | None = None) -> None:
-        """Build (and cache) scan orders ahead of a fork.
-
-        Forked pool workers inherit this object copy-on-write, so anything
-        they should *share* must exist before the fork — a scan built
-        inside a worker would be recomputed per process.
-        """
-        for index in range(self.n_points) if indices is None else indices:
-            self.scan(index)
-
-    def row_sims(self, index: int) -> list[np.ndarray]:
-        """Per-row candidate similarities of one point, in candidate order.
-
-        Views into the shared similarity matrix (the layout MinMax checks
-        need); no per-point recomputation.
-        """
-        return np.split(self.sims_matrix[index], self._offsets[1:-1])
 
     def query(self, index: int) -> PreparedQuery:
         """A :class:`PreparedQuery` for test point ``index`` (cached).
 
         The instance is indistinguishable from
         ``PreparedQuery(dataset, test_X[index], k, kernel)`` but is built
-        from the shared prepared state, skipping the per-point similarity
-        pass entirely.
+        from the shared prepared state, skipping the similarity pass.
         """
         query = self._queries[index]
         if query is None:
@@ -568,8 +314,8 @@ class PreparedBatch:
                 self.test_X[index],
                 k=self.k,
                 kernel=self.kernel,
+                sims=self.sims_matrix[index],
                 scan=self.scan(index),
-                row_sims=self.row_sims(index),
             )
             self._queries[index] = query
         return query
@@ -595,8 +341,9 @@ def kernel_cache_key(kernel: Kernel) -> str:
     key. A user-defined kernel that keeps ``object.__repr__`` would be
     keyed by its memory address — and a recycled address could alias two
     different kernels into one cache entry — so such kernels get a
-    process-unique token instead: caching still works within one
-    executor, but entries are never shared across kernel instances.
+    process-unique token kept on the instance instead: repeated queries
+    with the same kernel object hit the cache, but entries are never
+    shared across kernel instances.
 
     The contract for custom kernels that *do* define ``__repr__``: the
     repr must encode every parameter that changes the similarity values
@@ -606,16 +353,22 @@ def kernel_cache_key(kernel: Kernel) -> str:
     cls = type(kernel)
     identity = f"{cls.__module__}.{cls.__qualname__}"
     if cls.__repr__ is object.__repr__:
-        return f"{identity}#{uuid.uuid4().hex}"
+        token = getattr(kernel, "_cache_token", None)
+        if token is None:
+            token = uuid.uuid4().hex
+            try:
+                kernel._cache_token = token
+            except AttributeError:  # no instance dict: a fresh token per call
+                pass
+        return f"{identity}#{token}"
     return f"{identity}:{kernel!r}"
 
 
-#: Backwards-compatible alias (the helper predates the planner making it public).
-_kernel_cache_key = kernel_cache_key
-
-
 class BatchQueryExecutor:
-    """Executes CP queries for a whole test set: vectorised, parallel, cached.
+    """Counts and certain labels for a whole test set: vectorised, parallel, cached.
+
+    A direct handle on the planner's ``batch`` backend for the plain
+    counting flavors, bound to one prepared test set.
 
     Parameters
     ----------
@@ -623,8 +376,8 @@ class BatchQueryExecutor:
         The query family, as in :class:`PreparedQuery` (ignored when
         ``prepared`` is given).
     n_jobs:
-        Worker processes for the per-point scan fan-out. ``1`` (default)
-        runs in-process; ``None`` or negative uses all CPUs. Parallelism
+        Worker processes for the per-point fan-out. ``1`` (default) runs
+        in-process; ``None`` or negative uses all CPUs. Parallelism
         requires Linux with the ``fork`` start method and silently
         degrades to in-process execution elsewhere.
     cache:
@@ -661,214 +414,61 @@ class BatchQueryExecutor:
             self.cache = cache
         else:
             self.cache = None
-        self._kernel_key = kernel_cache_key(self.kernel)
-        self._point_keys = [
-            hashlib.sha1(np.ascontiguousarray(t).tobytes()).hexdigest()
-            for t in self.prepared.test_X
-        ]
 
     @property
     def n_points(self) -> int:
         """Number of test points in the batch."""
         return self.prepared.n_points
 
-    def _key(self, tag: str, index: int, fixed_key: tuple) -> tuple:
-        return (
-            tag,
-            self.prepared.fingerprint(),
-            self._point_keys[index],
-            self.k,
-            self._kernel_key,
-            fixed_key,
-        )
+    def _execute(
+        self, kind: str, fixed: Mapping[int, int] | None, prune: bool, scan_kernel: str | None
+    ) -> list:
+        from repro.core.planner import ExecutionOptions, execute_query, make_query
 
-    # ------------------------------------------------------------------
+        query = make_query(
+            self.dataset,
+            self.prepared.test_X,
+            kind=kind,
+            k=self.k,
+            kernel=self.kernel,
+            pins=fixed,
+        )
+        options = ExecutionOptions(
+            n_jobs=self.n_jobs,
+            # An empty QueryResultCache is falsy (it has __len__), so the
+            # None check must be explicit.
+            cache=self.cache if self.cache is not None else False,
+            prepared=self.prepared,
+            prune="on" if prune else "off",
+            scan_kernel=scan_kernel or "auto",
+        )
+        return execute_query(query, backend="batch", options=options).values
+
     def counts(
-        self,
-        fixed: Mapping[int, int] | None = None,
-        prune: bool = False,
-        prune_stats: dict | None = None,
+        self, fixed: Mapping[int, int] | None = None, prune: bool = False
     ) -> list[list[int]]:
         """Exact Q2 counts for every test point, with ``fixed`` rows pinned.
 
         Equivalent to ``[PreparedQuery(...).counts(fixed) for t in test_X]``
-        (bit-identical, tested) but served from the cache where possible,
-        and computed with the tuned kernel — fanned out over the worker
-        pool when ``n_jobs > 1``.
-
-        With ``prune=True`` the irrelevant-candidate pruning pass runs per
-        point *before* the scan sort (see :mod:`repro.core.pruning`); the
-        counts are bit-identical, so pruned and unpruned runs share the
-        same cache entries. ``prune_stats`` (a dict) accumulates per-point
-        pruning telemetry for the points actually computed this call.
+        (bit-identical, tested). ``prune=True`` runs the
+        irrelevant-candidate pruning pass per point first (see
+        :mod:`repro.core.pruning`); counts are unchanged.
         """
-        fixed = dict(fixed or {})
-        fixed_key = tuple(sorted(fixed.items()))
-        results: list[list[int] | None] = [None] * self.n_points
-        missing: list[int] = []
-        for index in range(self.n_points):
-            if self.cache is not None:
-                hit = self.cache.get(self._key("q2", index, fixed_key), _MISS)
-                if hit is not _MISS:
-                    results[index] = list(hit)
-                    continue
-            missing.append(index)
-
-        if missing:
-            n_labels = self.dataset.n_labels
-            if prune:
-                # The pruned worker reads raw similarity rows; building the
-                # sorted scans up front would defeat the point.
-                triples = fanout_map(
-                    _pruned_counts_worker,
-                    missing,
-                    n_jobs=self.n_jobs,
-                    state=(self.prepared, self.k, n_labels, fixed),
-                )
-                pairs = self._fold_stats(triples, prune_stats)
-            else:
-                # Scans must exist before the fork so workers share them
-                # copy-on-write instead of rebuilding per process.
-                self.prepared.materialize_scans(missing)
-                pairs = fanout_map(
-                    _counts_worker,
-                    missing,
-                    n_jobs=self.n_jobs,
-                    state=(self.prepared, self.k, n_labels, fixed),
-                )
-            for index, counts in pairs:
-                results[index] = counts
-                if self.cache is not None:
-                    self.cache.put(self._key("q2", index, fixed_key), list(counts))
-        return [list(counts) for counts in results]  # type: ignore[arg-type]
-
-    @staticmethod
-    def _fold_stats(
-        triples: Iterable[tuple[int, object, dict]],
-        prune_stats: dict | None,
-    ) -> list[tuple[int, object]]:
-        """Strip per-point stats off worker triples, folding them into one dict."""
-        from repro.core.pruning import accumulate_prune_stats
-
-        pairs = []
-        for index, value, stats in triples:
-            if prune_stats is not None:
-                accumulate_prune_stats(prune_stats, stats)
-            pairs.append((index, value))
-        return pairs
-
-    # ------------------------------------------------------------------
-    def _minmax_label(self, index: int, fixed: Mapping[int, int]) -> int | None:
-        """Vectorised MM check for one point (binary labels only).
-
-        Mirrors :meth:`PreparedQuery.certain_label_minmax`: per-row extreme
-        similarities come straight off the shared similarity matrix via
-        ``reduceat`` instead of per-row ``min()``/``max()`` calls.
-        """
-        sims = self.prepared.sims_matrix[index]
-        starts = self.prepared._offsets[:-1]
-        row_counts = self.prepared._counts
-        mins = np.minimum.reduceat(sims, starts)
-        maxs = np.maximum.reduceat(sims, starts)
-        for row, cand in fixed.items():
-            if not 0 <= cand < row_counts[row]:
-                raise IndexError(
-                    f"fixed candidate {cand} out of range for row {row} "
-                    f"with {row_counts[row]} candidates"
-                )
-            pinned_sim = sims[int(starts[row]) + cand]
-            mins[row] = pinned_sim
-            maxs[row] = pinned_sim
-        labels = self.dataset.labels
-        winners = []
-        for target in range(2):
-            extremes = np.where(labels == target, maxs, mins)
-            top = top_k_rows(extremes, self.k)
-            if majority_label(labels[top], tally_size=2) == target:
-                winners.append(target)
-        return winners[0] if len(winners) == 1 else None
+        return self._execute("counts", fixed, prune, None)
 
     def certain_labels(
         self,
         fixed: Mapping[int, int] | None = None,
         prune: bool = False,
         scan_kernel: str | None = None,
-        prune_stats: dict | None = None,
     ) -> list[int | None]:
         """The CP'ed label (or ``None``) of every test point.
 
-        Dispatches exactly like the sequential path: the MM check for
-        binary labels, Q2 counts otherwise — so results match
-        ``CleaningSession.val_certain_labels`` / ``certain_label`` per
-        point bit for bit. ``prune=True`` engages candidate pruning on the
-        multiclass path (binary stays on the MM check, which is already a
-        maximally early-terminating scan); multiclass decisions then use
-        the vectorised decision kernel (``scan_kernel`` selects the
-        implementation) under the ``"q2d"`` cache tag, stopping the scan
-        as soon as two winners are seen.
+        The MM check for binary labels, Q2 counts (or, with ``prune``, the
+        pruned early-terminating decision scan) otherwise — the same
+        answers as the sequential path, bit for bit.
         """
-        fixed = dict(fixed or {})
-        if self.dataset.n_labels != 2:
-            if not prune:
-                return [
-                    certain_label_from_counts(counts) for counts in self.counts(fixed)
-                ]
-            return self._pruned_decisions(fixed, scan_kernel, prune_stats)
-        fixed_key = tuple(sorted(fixed.items()))
-        labels: list[int | None] = []
-        for index in range(self.n_points):
-            key = self._key("mm", index, fixed_key)
-            if self.cache is not None:
-                hit = self.cache.get(key, _MISS)
-                if hit is not _MISS:
-                    labels.append(hit)
-                    continue
-            label = self._minmax_label(index, fixed)
-            if self.cache is not None:
-                self.cache.put(key, label)
-            labels.append(label)
-        return labels
-
-    def _pruned_decisions(
-        self,
-        fixed: dict[int, int],
-        scan_kernel: str | None,
-        prune_stats: dict | None,
-    ) -> list[int | None]:
-        """Multiclass decisions via prune + early-terminating decision scan.
-
-        Cached under its own ``"q2d"`` tag: the decision result carries
-        less information than the full counts, so it must not shadow
-        ``"q2"`` entries.
-        """
-        fixed_key = tuple(sorted(fixed.items()))
-        results: list[int | None] = [None] * self.n_points
-        computed = [False] * self.n_points
-        missing: list[int] = []
-        for index in range(self.n_points):
-            if self.cache is not None:
-                hit = self.cache.get(self._key("q2d", index, fixed_key), _MISS)
-                if hit is not _MISS:
-                    results[index] = hit
-                    computed[index] = True
-                    continue
-            missing.append(index)
-
-        if missing:
-            triples = fanout_map(
-                _pruned_decision_worker,
-                missing,
-                n_jobs=self.n_jobs,
-                state=(self.prepared, self.k, self.dataset.n_labels, fixed, scan_kernel),
-            )
-            for index, label in self._fold_stats(triples, prune_stats):
-                results[index] = label
-                computed[index] = True
-                if self.cache is not None:
-                    self.cache.put(self._key("q2d", index, fixed_key), label)
-        if not all(computed):
-            raise AssertionError("internal error: unexecuted points in batch")
-        return results
+        return self._execute("certain_label", fixed, prune, scan_kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,7 @@ class IncompleteDataset:
         self._labels.setflags(write=False)
         self._dim = dim
         self._fingerprint: str | None = None
+        self._stacked: tuple[np.ndarray, ...] | None = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -150,6 +151,38 @@ class IncompleteDataset:
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
+    def stacked_candidates(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every candidate set flattened into one matrix, with its index arrays.
+
+        Returns ``(stacked, rows, cands, counts, offsets)``: the ``(P, d)``
+        matrix of all candidates (rows grouped, candidates in row order),
+        each stacked position's row index and candidate index, the
+        per-row candidate count ``m_i``, and the ``(N + 1,)`` segment
+        boundaries (row ``i`` occupies ``offsets[i]:offsets[i + 1]``). This
+        is the one preparation input of every scan: similarities come from
+        a single ``kernel.pairwise(stacked, X)`` call. Instances are
+        immutable, so the arrays are built once, cached and read-only —
+        and dropped from pickles, which stay as small as the dataset.
+        """
+        if self._stacked is None:
+            counts = self.candidate_counts()
+            offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
+            rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), counts)
+            cands = np.arange(int(offsets[-1]), dtype=np.int64) - offsets[rows]
+            stacked = np.concatenate(self._candidate_sets, axis=0)
+            arrays = (stacked, rows, cands, counts, offsets)
+            for array in arrays:
+                array.setflags(write=False)
+            self._stacked = arrays
+        return self._stacked
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_stacked"] = None
+        return state
+
     def __len__(self) -> int:
         return self.n_rows
 
@@ -171,6 +204,24 @@ class IncompleteDataset:
     # ------------------------------------------------------------------
     # Derivation (used by cleaning)
     # ------------------------------------------------------------------
+    @classmethod
+    def _derived(cls, sets: list[np.ndarray], labels: np.ndarray) -> "IncompleteDataset":
+        """An instance over candidate sets that are already validated.
+
+        Derivations reuse their parent's read-only arrays (new rows are
+        validated and frozen by the caller), so the per-row checks and
+        copies of :meth:`__init__` are skipped.
+        """
+        dataset = cls.__new__(cls)
+        labels = np.asarray(labels, dtype=np.int64)
+        labels.setflags(write=False)
+        dataset._candidate_sets = sets
+        dataset._labels = labels
+        dataset._dim = sets[0].shape[1]
+        dataset._fingerprint = None
+        dataset._stacked = None
+        return dataset
+
     def with_row_fixed(self, row: int, value: np.ndarray) -> "IncompleteDataset":
         """A copy of the dataset in which row ``row`` is certain with ``value``.
 
@@ -185,9 +236,11 @@ class IncompleteDataset:
                 f"value is not among the {self._candidate_sets[row].shape[0]} "
                 f"candidates of row {row} (the dataset would become invalid)"
             )
+        fixed = value.reshape(1, -1).copy()
+        fixed.setflags(write=False)
         sets = list(self._candidate_sets)
-        sets[row] = value.reshape(1, -1)
-        return IncompleteDataset(sets, self._labels)
+        sets[row] = fixed
+        return IncompleteDataset._derived(sets, self._labels)
 
     def restrict_row(self, row: int, candidate_index: int) -> "IncompleteDataset":
         """A copy with row ``row`` restricted to its ``candidate_index``-th candidate."""
@@ -199,7 +252,7 @@ class IncompleteDataset:
             )
         sets = list(self._candidate_sets)
         sets[row] = cands[candidate_index : candidate_index + 1]
-        return IncompleteDataset(sets, self._labels)
+        return IncompleteDataset._derived(sets, self._labels)
 
     def append_row(self, candidates: np.ndarray, label: int) -> "IncompleteDataset":
         """A copy with a new row appended (candidate set + certain label).
@@ -213,9 +266,11 @@ class IncompleteDataset:
         label = int(label)
         if label < 0:
             raise ValueError(f"labels must be non-negative integers, got {label}")
+        matrix = matrix.copy()
+        matrix.setflags(write=False)
         sets = list(self._candidate_sets) + [matrix]
         labels = np.append(self._labels, np.int64(label))
-        return IncompleteDataset(sets, labels)
+        return IncompleteDataset._derived(sets, labels)
 
     def delete_row(self, row: int) -> "IncompleteDataset":
         """A copy with row ``row`` removed (later rows shift down by one).
@@ -228,7 +283,7 @@ class IncompleteDataset:
             raise ValueError("cannot delete the last row of a dataset")
         sets = [c for i, c in enumerate(self._candidate_sets) if i != row]
         labels = np.delete(self._labels, row)
-        return IncompleteDataset(sets, labels)
+        return IncompleteDataset._derived(sets, labels)
 
     def world(self, choice: Sequence[int]) -> np.ndarray:
         """Materialise the possible world selecting ``choice[i]`` from ``C_i``.

@@ -11,16 +11,15 @@ the kernel or re-counting every validation point:
 * :class:`RowAppend` — add a new (candidate set, label) training row;
 * :class:`RowDelete` — remove a training row.
 
-The maintenance rule generalises :class:`repro.core.incremental.
-IncrementalCPState`'s exact pruning (which handles pins only) to all three
-delta kinds via a *provenance* annotation. For every test point the state
-knows its **support set**: the rows whose candidate choice can possibly
-change the point's prediction (a row is outside the support set iff at
-least ``k`` other rows have a guaranteed minimum similarity strictly above
-the row's best possible similarity — then the top-K is filled without it
-in every world). Each maintained Q2 count vector is thereby annotated with
-the rows it truly depends on, and a delta touching row ``r`` splits the
-points into:
+The maintenance rule is the domination rule of :mod:`repro.core.pruning`,
+applied to all three delta kinds via a *provenance* annotation. For every
+test point the state knows its **support set**: the rows whose candidate
+choice can possibly change the point's prediction (a row is outside the
+support set iff at least ``k`` other rows have a guaranteed minimum
+similarity strictly above the row's best possible similarity — then the
+top-K is filled without it in every world). Each maintained Q2 count
+vector is thereby annotated with the rows it truly depends on, and a delta
+touching row ``r`` splits the points into:
 
 * points with ``r`` **outside** the support set — the count vector
   transforms by an exact big-integer scalar (divide by ``m_r`` for a
@@ -29,12 +28,13 @@ points into:
 * points with ``r`` **inside** the support set — recounted with one scan
   each, from maintained similarities (no kernel work).
 
-Similarities are maintained per row as ``(n_points, m_row)`` blocks. The
-built-in kernels compute ``pairwise`` with per-element reductions that do
-not depend on which other candidates share the call (see
-:mod:`repro.core.kernels`), so a block computed for an appended row alone
-is bit-identical to the corresponding slice of a from-scratch pairwise
-over the whole stacked candidate matrix — which is what makes every
+Similarities are maintained per row as ``(n_points, m_row)`` blocks, split
+from one ``pairwise`` call over the dataset's stacked candidates. The
+built-in kernels reduce each candidate row on its own, whatever other
+candidates share the call (see :mod:`repro.core.kernels`), so a block
+computed for an appended row alone is bit-identical to the corresponding
+slice of a from-scratch pairwise over the whole stacked candidate matrix —
+which is what makes every
 maintained count provably equal to a full recompute
 (``tests/fuzz/test_update_sequences.py`` holds the state to that standard
 over random delta interleavings).
@@ -45,7 +45,10 @@ over random delta interleavings).
 :class:`repro.service.registry.DatasetEntry` keeps warm prepared state
 across ``PATCH`` traffic and how
 :meth:`repro.cleaning.sequential.CleaningSession.apply_repair` turns a
-hypothetical pin into a physical repair without re-preparing.
+hypothetical pin into a physical repair without re-preparing. The
+planner's ``incremental`` backend keeps one state per query family and
+applies every new pin as a :class:`CellRepair` — a pinned row has one
+candidate, so restricting it cannot change any tie-break.
 """
 
 from __future__ import annotations
@@ -55,16 +58,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.batch_engine import PreparedBatch, _counts_from_scan
+from repro.core.batch_engine import PreparedBatch
 from repro.core.dataset import IncompleteDataset
+from repro.core.engine import counts_from_scan
 from repro.core.entropy import certain_label_from_counts
 from repro.core.kernels import Kernel, resolve_kernel
 from repro.core.pruning import (
     accumulate_prune_stats,
+    dominated_mask,
     empty_prune_stats,
     prune_mask,
+    pruned_counts_from_sims,
 )
-from repro.core.scan import _scan_from_sims, candidate_index_arrays
+from repro.core.scan import scan_from_sims, similarity_matrix
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = [
@@ -73,8 +79,6 @@ __all__ = [
     "RowDelete",
     "Delta",
     "apply_delta_to_dataset",
-    "dominating_rows",
-    "row_is_irrelevant",
     "DeltaMaintainedState",
 ]
 
@@ -121,30 +125,6 @@ def apply_delta_to_dataset(dataset: IncompleteDataset, delta: Delta) -> Incomple
     raise TypeError(f"unknown delta type {type(delta).__name__}")
 
 
-# ---------------------------------------------------------------------------
-# The shared irrelevance (provenance) rule
-# ---------------------------------------------------------------------------
-
-
-def dominating_rows(mins: np.ndarray, best: float) -> int:
-    """How many rows have a guaranteed similarity strictly above ``best``."""
-    return int(np.count_nonzero(mins > best))
-
-
-def row_is_irrelevant(mins: np.ndarray, row: int, best: float, k: int) -> bool:
-    """True iff ``row`` can never enter the top-K for this point.
-
-    ``mins`` holds every row's minimum candidate similarity to the point
-    and ``best`` the target row's maximum. When at least ``k`` *other*
-    rows beat ``best`` with their worst candidate, the top-K is filled
-    without the row in every world, so its candidate choice never affects
-    the prediction — the rule :class:`~repro.core.incremental.
-    IncrementalCPState` applies to pins, shared here for all delta kinds.
-    """
-    n_dominating = dominating_rows(mins, best) - (1 if mins[row] > best else 0)
-    return n_dominating >= k
-
-
 def _exact_scale(counts: list[int], numer: int, denom: int) -> list[int]:
     """``counts * numer / denom`` with the division proven exact."""
     if denom == 1:
@@ -181,10 +161,9 @@ class DeltaMaintainedState:
         initial kernel call. Must describe exactly ``(dataset,
         test_points, kernel)``.
     prune:
-        With ``True`` every recount builds its scan from the *kept* rows
-        only: the maintained per-point min/max envelopes already are the
-        candidate intervals the certificate rule needs, so pruning costs
-        one vectorised mask — no extra interval pass. Counts stay
+        With ``True`` every recount runs through the certificate pruning
+        pass of :mod:`repro.core.pruning` (the same pass every backend
+        uses), so only the kept rows reach the counting kernel. Counts stay
         bit-identical (:meth:`verify` still passes) and ``prune_stats``
         accumulates the telemetry.
     """
@@ -215,30 +194,26 @@ class DeltaMaintainedState:
                 f"got {points.shape}"
             )
         self._points = points
-        counts = dataset.candidate_counts()
+        offsets = dataset.stacked_candidates()[4]
         if sims_matrix is None:
-            stacked = np.concatenate(
-                [dataset.candidates(i) for i in range(dataset.n_rows)], axis=0
-            )
-            sims_matrix = self.kernel.pairwise(stacked, points)
+            sims_matrix = similarity_matrix(dataset, points, self.kernel)
         else:
             sims_matrix = np.asarray(sims_matrix, dtype=np.float64)
-            expected = (points.shape[0], int(counts.sum()))
+            expected = (points.shape[0], int(offsets[-1]))
             if sims_matrix.shape != expected:
                 raise ValueError(
                     f"sims_matrix must have shape {expected}, got {sims_matrix.shape}"
                 )
-        offsets = np.cumsum(counts)[:-1]
         # Per-row (n_points, m_row) similarity blocks — the maintained form.
         self._row_sims: list[np.ndarray] = [
-            block.copy() for block in np.split(sims_matrix, offsets, axis=1)
+            block.copy() for block in np.split(sims_matrix, offsets[1:-1], axis=1)
         ]
-        self._mins = np.stack([b.min(axis=1) for b in self._row_sims], axis=1)
-        self._maxs = np.stack([b.max(axis=1) for b in self._row_sims], axis=1)
+        self._mins = np.minimum.reduceat(sims_matrix, offsets[:-1], axis=1)
+        self._maxs = np.maximum.reduceat(sims_matrix, offsets[:-1], axis=1)
         self.prune = bool(prune)
         self.prune_stats = empty_prune_stats()
         self._counts: list[list[int]] = [
-            self._recount(point) for point in range(self.n_points)
+            self._recount(point, sims_matrix[point]) for point in range(self.n_points)
         ]
         self.version = 0
         self.n_pruned = 0
@@ -281,89 +256,33 @@ class DeltaMaintainedState:
         the annotation the surgical invalidation in
         :mod:`repro.service.registry` keys on.
         """
-        relevant = ~self._irrelevant_mask_for_point(point)
+        relevant = ~prune_mask(self._mins[point], self._maxs[point], self.k)
         return frozenset(int(r) for r in np.nonzero(relevant)[0])
-
-    # ------------------------------------------------------------------
-    # The provenance rule, vectorised
-    # ------------------------------------------------------------------
-    def _irrelevant_mask_for_point(self, point: int) -> np.ndarray:
-        """Per-row irrelevance at one point (rule of :func:`row_is_irrelevant`)."""
-        mins = self._mins[point]
-        sorted_mins = np.sort(mins)
-        n = mins.shape[0]
-        bests = self._maxs[point]
-        n_dominating = n - np.searchsorted(sorted_mins, bests, side="right")
-        n_dominating = n_dominating - (mins > bests)
-        return n_dominating >= self.k
 
     def _irrelevant_mask(self, row: int) -> np.ndarray:
         """Per-point: is ``row`` outside the support set? (``(n_points,)``)"""
-        bests = self._maxs[:, row]
-        n_dominating = np.count_nonzero(self._mins > bests[:, None], axis=1)
-        n_dominating = n_dominating - (self._mins[:, row] > bests)
-        return n_dominating >= self.k
-
-    def _append_irrelevant_mask(self, new_maxs: np.ndarray) -> np.ndarray:
-        """Per-point irrelevance of a row about to be appended."""
-        n_dominating = np.count_nonzero(self._mins > new_maxs[:, None], axis=1)
-        return n_dominating >= self.k
+        return dominated_mask(self._mins, self._maxs[:, row], self.k)
 
     # ------------------------------------------------------------------
     # Counting from maintained similarities
     # ------------------------------------------------------------------
-    def _recount(self, point: int) -> list[int]:
-        """One fresh scan for ``point`` from the maintained similarity blocks.
+    def _recount(self, point: int, sims: np.ndarray | None = None) -> list[int]:
+        """One fresh count for ``point`` from its similarity row.
 
-        With :attr:`prune` on, the scan is built from the kept rows' blocks
-        only — the maintained envelopes are exactly the per-row candidate
-        intervals, so the certificate is one :func:`prune_mask` call — and
-        the reduced counts are scaled back by the pruned rows' world
-        multiplicity. Exact: a pruned row is outside every world's top-K,
-        so its candidates only multiply the count of each world.
+        ``sims`` is the point's candidate-order row (reassembled from the
+        maintained blocks when not given). With :attr:`prune` on the count
+        runs through the certificate pass of :mod:`repro.core.pruning`;
+        either way it is the production kernel on the same scan a full
+        recompute would build.
         """
-        if self.prune:
-            return self._recount_pruned(point)
-        rows, cands, counts = candidate_index_arrays(self.dataset)
-        sims = np.concatenate([block[point] for block in self._row_sims])
-        scan = _scan_from_sims(
-            sims, rows, cands, self.dataset.labels.copy(), counts
-        )
-        return _counts_from_scan(scan, self.k, self.dataset.n_labels)
-
-    def _recount_pruned(self, point: int) -> list[int]:
-        pruned = prune_mask(self._mins[point], self._maxs[point], self.k)
-        keep = np.nonzero(~pruned)[0]
-        blocks = [self._row_sims[int(row)] for row in keep]
-        widths = np.array([block.shape[1] for block in blocks], dtype=np.int64)
-        sims = np.concatenate([block[point] for block in blocks])
-        rows = np.repeat(np.arange(keep.shape[0], dtype=np.int64), widths)
-        cands = np.concatenate(
-            [np.arange(width, dtype=np.int64) for width in widths]
-        )
-        labels = self.dataset.labels[keep].copy()
-        # The kept subset of the full scan order IS the scan order of the
-        # kept problem (the sort key (sim, row, cand) restricts to a strict
-        # total order on any subset; the monotone row remap preserves it),
-        # so counting the reduced scan and scaling back is bit-identical.
-        scan = _scan_from_sims(sims, rows, cands, labels, widths)
-        counts = _counts_from_scan(scan, self.k, self.dataset.n_labels)
-        scale = 1
-        for row in np.nonzero(pruned)[0]:
-            scale *= self._row_sims[int(row)].shape[1]
-        total = int(sum(block.shape[1] for block in self._row_sims))
-        accumulate_prune_stats(
-            self.prune_stats,
-            {
-                "n_rows": len(self._row_sims),
-                "n_rows_pruned": int(np.count_nonzero(pruned)),
-                "n_candidates": total,
-                "n_pruned": total - int(widths.sum()),
-                "n_scanned": int(widths.sum()),
-                "early_terminated": False,
-            },
-        )
-        return [count * scale for count in counts]
+        if sims is None:
+            sims = np.concatenate([block[point] for block in self._row_sims])
+        n_labels = self.dataset.n_labels
+        if not self.prune:
+            return counts_from_scan(scan_from_sims(self.dataset, sims), self.k, n_labels)
+        counts, stats = pruned_counts_from_sims(self.dataset, sims, self.k, n_labels)
+        accumulate_prune_stats(self.prune_stats, stats)
+        return counts
 
     def _resize_labels(
         self, counts: list[int], new_n_labels: int, point: int
@@ -453,7 +372,7 @@ class DeltaMaintainedState:
         m_new = candidates.shape[0]
         block = self.kernel.pairwise(candidates, self._points)
         new_maxs = block.max(axis=1)
-        irrelevant = self._append_irrelevant_mask(new_maxs)
+        irrelevant = dominated_mask(self._mins, new_maxs, self.k)
         self._row_sims.append(block)
         self._mins = np.concatenate(
             [self._mins, block.min(axis=1)[:, None]], axis=1

@@ -20,11 +20,19 @@ The paper reaches ``O(K^2 log N)`` per step with the divide-and-conquer tree
 (Appendix A.2, implemented in :mod:`repro.core.sortscan_tree`); the division
 trick used here achieves ``O(K + |Gamma| |Y|)`` per step, which is strictly
 better — both are validated against each other and against brute force.
+
+The module holds the algorithm twice, on purpose: :class:`LabelPolynomials`
+/ :func:`sortscan_counts` are the readable reference (timed by the
+complexity experiments, and the substrate of ``counts_per_fixing``), while
+:func:`counts_from_scan` is the one production kernel every backend counts
+with — the same updates in the same order, restructured for speed.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +43,7 @@ from repro.core.scan import ScanOrder, compute_scan_order
 from repro.core.tally import tallies_with_prediction
 from repro.utils.validation import check_positive_int
 
-__all__ = ["sortscan_counts", "LabelPolynomials"]
+__all__ = ["counts_from_scan", "sortscan_counts", "LabelPolynomials"]
 
 
 class LabelPolynomials:
@@ -168,6 +176,146 @@ def sortscan_counts(
             result[winner] += support
 
     expected_total = math.prod(int(m) for m in scan.row_counts)
+    if sum(result) != expected_total:
+        raise AssertionError(
+            f"internal error: counts sum to {sum(result)} but there are "
+            f"{expected_total} possible worlds"
+        )
+    return result
+
+
+@lru_cache(maxsize=None)
+def _tally_plans(
+    k: int, n_labels: int
+) -> tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]:
+    """Per boundary-row label: the tally loop, pre-resolved.
+
+    ``plans[y]`` lists ``(winner, wants)`` for every tally with
+    ``tally[y] >= 1``, where ``wants`` pairs each label with the
+    coefficient index it must contribute (the boundary row's own label
+    needs one slot fewer). Hoisting this out of the scan loop removes the
+    per-position tally filtering of the reference engine.
+    """
+    plans = []
+    for y in range(n_labels):
+        plan = []
+        for tally, winner in tallies_with_prediction(k, n_labels):
+            if tally[y] < 1:
+                continue
+            wants = tuple(
+                (label, slots - 1 if label == y else slots)
+                for label, slots in enumerate(tally)
+            )
+            plan.append((winner, wants))
+        plans.append(tuple(plan))
+    return tuple(plans)
+
+
+def counts_from_scan(
+    scan: ScanOrder,
+    k: int,
+    n_labels: int,
+    fixed: Mapping[int, int] | None = None,
+) -> list[int]:
+    """Q2 counts from a precomputed scan order — the production kernel.
+
+    Every backend counts through this function. It is exactly the
+    incremental algorithm of :class:`LabelPolynomials` /
+    :func:`sortscan_counts` (same big-integer polynomial updates in the
+    same order, so results are bit-identical), restructured for
+    throughput: scan arrays are converted to plain
+    Python lists once, the per-position tally loop uses the precomputed
+    :func:`_tally_plans`, the linear-factor updates run in place on the
+    coefficient lists (no per-step allocations or calls into
+    :mod:`repro.core.polynomials`), and the forced-shift bookkeeping is
+    applied on the fly instead of materialising shifted coefficient arrays
+    at every boundary position. The truncated divisions are exact by
+    construction (see :mod:`repro.core.polynomials`); the closing
+    sum-over-worlds assertion would catch any violation. ``fixed`` pins
+    rows to one candidate by skipping the row's other positions.
+    """
+    rows = scan.rows.tolist()
+    cands = scan.cands.tolist()
+    row_labels = scan.row_labels.tolist()
+    counts = scan.row_counts.tolist()
+    pinned: list[int] | None = None
+    if fixed:
+        pinned = [-1] * len(counts)
+        for row, cand in fixed.items():
+            if not 0 <= cand < counts[row]:
+                raise IndexError(
+                    f"fixed candidate {cand} out of range for row {row} "
+                    f"with {counts[row]} candidates"
+                )
+            counts[row] = 1
+            pinned[row] = cand
+
+    plans = _tally_plans(k, n_labels)
+    n = len(row_labels)
+    alpha = [0] * n
+    polys = [poly_one(k) for _ in range(n_labels)]
+    forced_count = [0] * n_labels
+    forced_scale = [1] * n_labels
+    for i in range(n):
+        forced_count[row_labels[i]] += 1
+        forced_scale[row_labels[i]] *= counts[i]
+    result = [0] * n_labels
+
+    for pos in range(len(rows)):
+        i = rows[pos]
+        if pinned is not None:
+            pin = pinned[i]
+            if pin >= 0 and cands[pos] != pin:
+                continue
+        a = alpha[i] = alpha[i] + 1
+        label_i = row_labels[i]
+        m = counts[i]
+        poly = polys[label_i]
+        if a == 1:
+            # The row leaves the forced-above set and gains a real factor:
+            # poly *= (1 + (m-1) z), in place (descending, so each step
+            # reads the not-yet-updated lower coefficient).
+            forced_count[label_i] -= 1
+            forced_scale[label_i] //= m
+            b = m - 1
+            for c in range(k, 0, -1):
+                poly[c] += b * poly[c - 1]
+        else:
+            # poly = poly / ((a-1) + (m-a+1) z) * (a + (m-a) z), in place:
+            # the exact truncated division runs ascending (each step reads
+            # the already-updated lower coefficient), the multiplication
+            # descending.
+            a0 = a - 1
+            b0 = m - a + 1
+            poly[0] //= a0
+            for c in range(1, k + 1):
+                poly[c] = (poly[c] - b0 * poly[c - 1]) // a0
+            b = m - a
+            for c in range(k, 0, -1):
+                poly[c] = a * poly[c] + b * poly[c - 1]
+            poly[0] *= a
+        # Coefficients with the boundary row's own factor divided out.
+        b = m - a
+        excluded = [0] * (k + 1)
+        excluded[0] = prev = poly[0] // a
+        for c in range(1, k + 1):
+            excluded[c] = prev = (poly[c] - b * prev) // a
+        for winner, wants in plans[label_i]:
+            support = 1
+            for label, want in wants:
+                index = want - forced_count[label]
+                if 0 <= index <= k:
+                    base = excluded if label == label_i else polys[label]
+                    coeff = base[index]
+                    if coeff:
+                        support *= forced_scale[label] * coeff
+                        continue
+                support = 0
+                break
+            if support:
+                result[winner] += support
+
+    expected_total = math.prod(counts)
     if sum(result) != expected_total:
         raise AssertionError(
             f"internal error: counts sum to {sum(result)} but there are "

@@ -13,8 +13,14 @@ single vectors is provided for convenience. For batch workloads
 (:mod:`repro.core.batch_engine`) kernels also expose
 ``pairwise(candidates, test_X)`` which computes the whole ``(T, m)``
 similarity matrix in one vectorised call; the built-in kernels override it
-with broadcasting implementations whose per-element reductions are
-bit-identical to the per-point path.
+with broadcasting implementations.
+
+Every built-in kernel reduces each candidate row on its own (``einsum`` over
+the feature axis, never a BLAS matrix product), so a candidate's similarity
+depends only on its own values — not on which other candidates share the
+call or where it sits in the matrix. That is what makes a similarity row
+taken from the stacked candidate matrix bit-identical to one computed for a
+single row's candidate set, and scan orders identical across backends.
 """
 
 from __future__ import annotations
@@ -109,11 +115,9 @@ class LinearKernel(Kernel):
     def similarities(self, candidates: np.ndarray, t: np.ndarray) -> np.ndarray:
         candidates = check_matrix(candidates, "candidates")
         t = check_vector(t, "t", length=candidates.shape[1])
-        return candidates @ t
-
-    # pairwise: the default per-point loop is kept deliberately — a fused
-    # matrix-matrix product may use a different BLAS reduction order than the
-    # per-point matvec, and scan orders must stay bit-identical.
+        # A per-row reduction, not ``candidates @ t``: BLAS may reduce a row
+        # differently depending on where it sits in the matrix.
+        return np.einsum("ij,j->i", candidates, t)
 
     def __repr__(self) -> str:
         return "LinearKernel()"
@@ -130,7 +134,7 @@ class CosineKernel(Kernel):
         denom = cand_norms * t_norm
         # A zero vector is equally dissimilar to everything.
         safe = np.where(denom > 0.0, denom, 1.0)
-        sims = (candidates @ t) / safe
+        sims = np.einsum("ij,j->i", candidates, t) / safe
         return np.where(denom > 0.0, sims, 0.0)
 
     def __repr__(self) -> str:

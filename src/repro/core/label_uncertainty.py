@@ -39,7 +39,8 @@ import numpy as np
 from repro.core.dataset import IncompleteDataset
 from repro.core.kernels import Kernel, resolve_kernel
 from repro.core.knn import majority_label, top_k_rows
-from repro.core.scan import ScanOrder, compute_scan_order
+from repro.core.minmax import row_extremes
+from repro.core.scan import ScanOrder, compute_scan_order, similarity_matrix
 from repro.core.tally import predicted_label
 from repro.utils.validation import check_positive_int, check_vector
 
@@ -333,7 +334,9 @@ def label_uncertain_minmax_check(
     kernel = resolve_kernel(kernel)
 
     n = dataset.n_rows
-    sims = [kernel.similarities(dataset.candidates(i), t) for i in range(n)]
+    features = dataset.feature_dataset
+    sims = similarity_matrix(features, t[None, :], kernel)[0]
+    mins, maxs = row_extremes(sims, features.stacked_candidates()[4])
 
     def extreme_world_predicts(target: int) -> bool:
         world_sims = np.empty(n, dtype=np.float64)
@@ -341,10 +344,10 @@ def label_uncertain_minmax_check(
         for i in range(n):
             if target in dataset.label_sets[i]:
                 world_labels[i] = target
-                world_sims[i] = sims[i].max()
+                world_sims[i] = maxs[i]
             else:
                 world_labels[i] = 1 - target
-                world_sims[i] = sims[i].min()
+                world_sims[i] = mins[i]
         top = top_k_rows(world_sims, k)
         return majority_label(world_labels[top], tally_size=2) == target
 

@@ -21,19 +21,51 @@ condition, not sufficient), mirroring the discussion in Appendix B.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from repro.core.dataset import IncompleteDataset
 from repro.core.kernels import Kernel
 from repro.core.knn import majority_label, top_k_rows
-from repro.core.scan import candidate_similarities
-from repro.utils.validation import check_positive_int
+from repro.core.scan import similarity_matrix
+from repro.utils.validation import check_positive_int, check_vector
 
-__all__ = ["minmax_check", "minmax_checks_all", "extreme_world_similarities", "predictable_labels"]
+__all__ = [
+    "minmax_check",
+    "minmax_checks_all",
+    "extreme_world_similarities",
+    "extreme_winners",
+    "predictable_labels",
+    "row_extremes",
+]
+
+
+def row_extremes(
+    sims: np.ndarray, offsets: np.ndarray, fixed: Mapping[int, int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ``(min, max)`` candidate similarity of one candidate-order row.
+
+    ``offsets`` are the row segment boundaries of
+    :meth:`~repro.core.dataset.IncompleteDataset.stacked_candidates`; a
+    pinned row's interval collapses to its pinned candidate's similarity.
+    """
+    starts = offsets[:-1]
+    mins = np.minimum.reduceat(sims, starts)
+    maxs = np.maximum.reduceat(sims, starts)
+    for row, cand in (fixed or {}).items():
+        m_row = int(offsets[row + 1] - offsets[row])
+        if not 0 <= cand < m_row:
+            raise IndexError(
+                f"fixed candidate {cand} out of range for row {row} "
+                f"with {m_row} candidates"
+            )
+        mins[row] = maxs[row] = sims[int(offsets[row]) + cand]
+    return mins, maxs
 
 
 def extreme_world_similarities(
-    sims_per_row: list[np.ndarray], labels: np.ndarray, target_label: int
+    mins: np.ndarray, maxs: np.ndarray, labels: np.ndarray, target_label: int
 ) -> np.ndarray:
     """Row similarities of the ``target_label``-extreme world (Eq. B.1).
 
@@ -41,12 +73,19 @@ def extreme_world_similarities(
     only needs each row's similarity: the max over candidates for rows with
     the target label, the min for all other rows.
     """
-    n = labels.shape[0]
-    sims = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        row_sims = sims_per_row[i]
-        sims[i] = row_sims.max() if labels[i] == target_label else row_sims.min()
-    return sims
+    return np.where(labels == target_label, maxs, mins)
+
+
+def extreme_winners(
+    mins: np.ndarray, maxs: np.ndarray, labels: np.ndarray, k: int, n_labels: int
+) -> list[int]:
+    """Labels ``l`` whose l-extreme world predicts ``l`` — every MinMax check."""
+    winners = []
+    for target in range(n_labels):
+        top = top_k_rows(extreme_world_similarities(mins, maxs, labels, target), k)
+        if majority_label(labels[top], tally_size=n_labels) == target:
+            winners.append(target)
+    return winners
 
 
 def predictable_labels(
@@ -71,16 +110,10 @@ def predictable_labels(
             "(|Y| = 2); use the SS counting engine for multi-class Q1, or pass "
             "allow_multiclass=True to use MM as a heuristic"
         )
-    sims_per_row = candidate_similarities(dataset, t, kernel)
-    labels = dataset.labels
-
-    winners = []
-    for target in range(n_labels):
-        sims = extreme_world_similarities(sims_per_row, labels, target)
-        top = top_k_rows(sims, k)
-        if majority_label(labels[top], tally_size=n_labels) == target:
-            winners.append(target)
-    return winners
+    t = check_vector(t, "t", length=dataset.n_features)
+    sims = similarity_matrix(dataset, t[None, :], kernel)[0]
+    mins, maxs = row_extremes(sims, dataset.stacked_candidates()[4])
+    return extreme_winners(mins, maxs, dataset.labels, k, n_labels)
 
 
 def minmax_check(

@@ -1,14 +1,7 @@
 """The unified CP query planner: one front door, pluggable backends.
 
-The repo grew four disconnected dispatch paths for what is really one
-family of counting queries over possible worlds: the string-dispatch of
-:mod:`repro.core.queries`, the parallel batch engine of
-:mod:`repro.core.batch_engine`, the exact incremental maintenance of
-:mod:`repro.core.incremental`, and standalone entry points for the
-weighted / top-k / label-uncertain task variants. This module replaces the
-ad-hoc wiring with a planner-plus-backend architecture, the same move
-provenance systems make when they route every probability computation
-through one engine layer:
+Every certain-prediction question is one family of counting queries over
+possible worlds, so every front door goes through this module:
 
 * :class:`CPQuery` (built via :func:`make_query`) is the *descriptor* of a
   query family: the dataset, a test matrix, the query kind
@@ -16,12 +9,21 @@ through one engine layer:
   (``binary``, ``multiclass``, ``weighted``, ``topk``,
   ``label_uncertainty``), ``k``, the kernel, the pins applied so far, an
   optional per-point algorithm override and optional candidate weights.
+* :data:`POINT_FUNCTIONS` is the one flavor dispatch: it maps ``(flavor,
+  counts-or-decision, path)`` to a per-point function of one
+  candidate-order similarity row returning ``(value, stats)``, where the
+  path is the full scan, the pruned scan or a published ``algorithm=``
+  oracle. :func:`_execute_points` is the skeleton around it — cache
+  lookup, evaluation of the missing points, stats folding, the ``check``
+  kind — so backends differ only in how they prepare similarity rows,
+  fan points out and cache values.
 * :class:`Backend` is the executor protocol. Each backend declares
   :class:`BackendCapabilities` (which flavors and kinds it can serve,
   whether it is batchable / incremental / exact) and estimates its cost
   for a concrete query; a process-wide registry
   (:func:`register_backend` / :func:`get_backend` /
-  :func:`backend_names`) makes backends pluggable.
+  :func:`backend_names`) makes backends pluggable. ``execute`` returns
+  ``(values, stats)``, the stats built per call.
 * :func:`plan_query` is the cost-model-lite planner: an explicit backend
   request is validated against capabilities, ``"auto"`` scores every
   capable backend and picks the cheapest (single points stay on the
@@ -34,23 +36,19 @@ Four backends ship by default (the first three here; the fourth —
 :mod:`repro.core.shards` and registers itself on import):
 
 ``sequential``
-    The reference path: one :class:`~repro.core.prepared.PreparedQuery`
-    scan per test point (or the flavor's per-point kernel). Supports every
-    flavor and every published algorithm override — the semantics anchor
-    the others are tested against.
+    One ``pairwise`` call over the dataset's cached stacked candidates per
+    test point, in process, no cache. Supports every flavor and every
+    published algorithm override.
 ``batch``
-    Wraps the PR-1 batch layer (:class:`~repro.core.batch_engine.PreparedBatch`
-    + :class:`~repro.core.batch_engine.BatchQueryExecutor` +
-    :class:`~repro.core.batch_engine.QueryResultCache`): one vectorised
-    distance pass for the whole test matrix, a tuned counting kernel, a
-    ``fork`` worker-pool fan-out, and fingerprint-keyed result caching —
-    now for **all five flavors**, not just binary counting.
+    One :class:`~repro.core.batch_engine.PreparedBatch` similarity matrix
+    for the whole test matrix (kept in a small LRU), a ``fork``
+    worker-pool fan-out, and fingerprint-keyed result caching.
 ``incremental``
-    Promotes :class:`~repro.core.incremental.IncrementalCPState` to a
-    first-class backend: per query family it keeps the maintained Q2
-    counts alive across calls, so a cleaning session that re-queries the
-    same validation points with a growing pin set pays one exact pruning
-    update per step instead of a full re-preparation.
+    Per query family a :class:`~repro.core.deltas.DeltaMaintainedState`
+    kept alive across calls; each new pin is applied as a
+    :class:`~repro.core.deltas.CellRepair`, so a cleaning session that
+    re-queries the same validation points with a growing pin set pays one
+    exact delta update per step instead of a full re-preparation.
 ``sharded``
     The out-of-core tile executor (:class:`repro.core.shards.ShardedBackend`):
     the test-point × candidate space is split into bounded shared-memory
@@ -59,8 +57,9 @@ Four backends ship by default (the first three here; the fourth —
     when the dense matrix would exceed the backend's memory budget.
 
 All backends return bit-identical values for any query they both support
-(``tests/core/test_planner.py`` holds the full equivalence matrix);
-``benchmarks/bench_planner.py`` measures the speedups.
+(``tests/core/test_planner.py`` and the differential harness hold the
+equivalence matrix); ``benchmarks/bench_planner.py`` measures the
+speedups.
 
 Pin semantics are uniform across flavors: a pin ``(row, candidate)``
 restricts that row to one candidate. Counting flavors apply pins natively
@@ -76,7 +75,7 @@ import hashlib
 import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -84,7 +83,6 @@ from typing import Any
 import numpy as np
 
 from repro.core.batch_engine import (
-    BatchQueryExecutor,
     PreparedBatch,
     QueryResultCache,
     fanout_map,
@@ -94,26 +92,25 @@ from repro.core.batch_engine import (
 )
 from repro.core.bruteforce import brute_force_counts
 from repro.core.dataset import IncompleteDataset
-from repro.core.engine import sortscan_counts
+from repro.core.deltas import CellRepair, DeltaMaintainedState
+from repro.core.engine import counts_from_scan, sortscan_counts
 from repro.core.entropy import certain_label_from_counts
-from repro.core.incremental import IncrementalCPState
 from repro.core.kernels import Kernel, resolve_kernel
 from repro.core.label_uncertainty import LabelUncertainDataset, label_uncertain_counts
+from repro.core.minmax import extreme_winners, row_extremes
 from repro.core.multiclass import sortscan_counts_multiclass
-from repro.core.prepared import PreparedQuery
-from repro.obs.tracing import trace_span
 from repro.core.pruning import (
     accumulate_prune_stats,
     empty_prune_stats,
-    pruned_counts_from_scan,
-    pruned_decision_from_scan,
+    pruned_counts_from_sims,
+    pruned_decision_from_sims,
     pruned_label_uncertain_counts,
     pruned_label_uncertain_decision,
     pruned_topk_counts_from_scan,
     pruned_weighted_decision,
     pruned_weighted_probabilities,
 )
-from repro.core.scan import compute_scan_order
+from repro.core.scan import ScanOrder, scan_from_sims, similarity_matrix
 from repro.core.sortscan import sortscan_counts_naive
 from repro.core.sortscan_tree import sortscan_counts_tree
 from repro.core.topk_prob import topk_inclusion_counts
@@ -122,6 +119,7 @@ from repro.core.weighted import (
     uniform_candidate_weights,
     weighted_prediction_probabilities,
 )
+from repro.obs.tracing import trace_span
 from repro.utils.validation import check_in_options, check_positive_int
 
 __all__ = [
@@ -144,6 +142,8 @@ __all__ = [
     "capable_backends",
     "plan_query",
     "execute_query",
+    "POINT_FUNCTIONS",
+    "PointTask",
     "SequentialBackend",
     "BatchParallelBackend",
     "IncrementalBackend",
@@ -443,7 +443,7 @@ class QueryResult:
     per-row inclusion counts (``topk``).
 
     ``stats`` is the executing backend's observability snapshot for this
-    call (pruning counters, early-termination tallies, …). Purely
+    call alone (pruning counters, early-termination tallies, …). Purely
     informational: empty when the backend reports nothing, and never part
     of equality or caching.
     """
@@ -480,11 +480,6 @@ class Backend(ABC):
 
     name: str = "abstract"
     capabilities: BackendCapabilities
-    #: Observability snapshot of the most recent :meth:`execute` call
-    #: (always reassigned whole, never mutated in place, so readers get a
-    #: consistent dict). :func:`execute_query` copies it into
-    #: :attr:`QueryResult.stats`.
-    last_stats: dict = {}
 
     def supports(self, query: CPQuery) -> bool:
         """True iff the declared capabilities cover this query."""
@@ -504,8 +499,13 @@ class Backend(ABC):
     @abstractmethod
     def execute(
         self, query: CPQuery, options: ExecutionOptions | None = None
-    ) -> list:
-        """Run the query, returning one value per test point (row order)."""
+    ) -> tuple[list, dict]:
+        """Run the query: ``(values, stats)``.
+
+        ``values`` holds one value per test point (row order); ``stats`` is
+        this call's own observability snapshot (pruning counters, tiling,
+        …), built per call so concurrent callers never share it.
+        """
 
 
 _REGISTRY: OrderedDict[str, Backend] = OrderedDict()
@@ -611,13 +611,7 @@ def execute_query(
         )
         if query.n_points == 0:
             return QueryResult(query=query, plan=plan, values=[])
-        chosen = get_backend(plan.backend)
-        values = chosen.execute(query, options)
-        # Snapshot, not reference: last_stats is per-backend mutable state and
-        # the next execute() on the same backend will overwrite it. (Under
-        # concurrent callers the snapshot may mix calls — acceptable for an
-        # observability-only field.)
-        stats = dict(getattr(chosen, "last_stats", {}) or {})
+        values, stats = get_backend(plan.backend).execute(query, options)
         span.set(
             **{
                 key: value
@@ -662,13 +656,15 @@ def _counts_to_kind(query: CPQuery, counts_per_point: list[list[int]]) -> list:
     return [lbl == query.label for lbl in labels]
 
 
+def _certain_from_probabilities(probabilities: list[Fraction]) -> int | None:
+    """The label with probability exactly 1, or ``None``."""
+    return next((y for y, p in enumerate(probabilities) if p == 1), None)
+
+
 def _weighted_to_kind(query: CPQuery, probs_per_point: list[list[Fraction]]) -> list:
     if query.kind == "counts":
         return probs_per_point
-    certain = [
-        next((y for y, p in enumerate(probs) if p == 1), None)
-        for probs in probs_per_point
-    ]
+    certain = [_certain_from_probabilities(probs) for probs in probs_per_point]
     if query.kind == "certain_label":
         return certain
     return [lbl == query.label for lbl in certain]
@@ -692,13 +688,8 @@ def _prune_enabled(query: CPQuery, options: ExecutionOptions) -> bool:
     return query.k < query.dataset.n_rows
 
 
-def _scan_kernel_arg(options: ExecutionOptions) -> str | None:
-    """``ExecutionOptions.scan_kernel`` as the kernels' ``implementation=``."""
-    return None if options.scan_kernel == "auto" else options.scan_kernel
-
-
 def _prune_summary(query: CPQuery, prune: bool, totals: dict | None) -> dict:
-    """The ``last_stats`` payload: context keys plus accumulated counters."""
+    """A backend's stats payload: context keys plus accumulated counters."""
     summary = {"flavor": query.flavor, "kind": query.kind, "prune": prune}
     if totals:
         summary.update(totals)
@@ -725,20 +716,330 @@ def _weights_key(weights: list[list[Fraction]]) -> str:
     return digest.hexdigest()
 
 
+def _handed_prepared(
+    options: ExecutionOptions,
+    dataset: IncompleteDataset,
+    test_X: np.ndarray,
+    k: int,
+    kernel: Kernel,
+) -> PreparedBatch | None:
+    """``options.prepared`` if it describes exactly this family, else ``None``."""
+    handed = options.prepared
+    if (
+        handed is not None
+        and handed.k == k
+        and kernel_cache_key(handed.kernel) == kernel_cache_key(kernel)
+        and handed.fingerprint() == dataset.fingerprint()
+        and np.array_equal(handed.test_X, test_X)
+    ):
+        return handed
+    return None
+
+
 # ---------------------------------------------------------------------------
-# SequentialBackend — the reference per-point path
+# The per-point dispatch table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class PointTask:
+    """What every per-point function of one execution shares.
+
+    ``dataset`` is the :class:`IncompleteDataset` whose stacked candidates
+    a similarity row indexes (pins restricted into it for the flavors
+    without native pin support); ``subject`` is the dataset the flavor's
+    own kernel takes (a :class:`LabelUncertainDataset` for
+    ``label_uncertainty``); ``fixed`` holds the pins a counting flavor
+    applies inside its scan and ``weights`` the weighted flavor's
+    pin-conditioned prior. ``cache_key`` identifies the computed values
+    (fingerprint plus whatever pins or prior they depend on).
+    """
+
+    query: CPQuery
+    dataset: IncompleteDataset
+    subject: Any
+    fixed: dict[int, int]
+    weights: list[list[Fraction]] | None
+    implementation: str | None
+    cache_key: tuple
+
+    def scan(self, sims: np.ndarray) -> ScanOrder:
+        return scan_from_sims(self.dataset, sims)
+
+
+def _counting_task(query: CPQuery, implementation: str | None) -> PointTask:
+    return PointTask(
+        query, query.dataset, query.dataset, query.pins_dict(), None,
+        implementation, (query.fingerprint(), query.pins),
+    )
+
+
+def _weighted_task(query: CPQuery, implementation: str | None) -> PointTask:
+    weights = _conditioned_weights(query)
+    return PointTask(
+        query, query.dataset, query.dataset, {}, weights,
+        implementation, (query.fingerprint(), _weights_key(weights)),
+    )
+
+
+def _restricted_task(query: CPQuery, implementation: str | None) -> PointTask:
+    subject = _restricted_dataset(query)
+    return PointTask(
+        query, getattr(subject, "feature_dataset", subject), subject, {}, None,
+        implementation, (subject.fingerprint(),),
+    )
+
+
+#: Per flavor: how pins and priors are folded in before any point runs.
+_TASK_BUILDERS = {
+    "binary": _counting_task,
+    "multiclass": _counting_task,
+    "weighted": _weighted_task,
+    "topk": _restricted_task,
+    "label_uncertainty": _restricted_task,
+}
+
+
+def _counts(task: PointTask, index: int, sims: np.ndarray) -> tuple[list[int], dict]:
+    query = task.query
+    return counts_from_scan(task.scan(sims), query.k, query.n_labels, task.fixed), {}
+
+
+def _pruned_counts(task: PointTask, index: int, sims: np.ndarray) -> tuple[list[int], dict]:
+    query = task.query
+    return pruned_counts_from_sims(task.dataset, sims, query.k, query.n_labels, task.fixed)
+
+
+def _minmax_label(task: PointTask, index: int, sims: np.ndarray) -> tuple[int | None, dict]:
+    # The MM shortcut (Algorithm 2): no counting at all, exact for binary
+    # labels. Already maximally early-terminating, so it never prunes.
+    mins, maxs = row_extremes(sims, task.dataset.stacked_candidates()[4], task.fixed)
+    winners = extreme_winners(mins, maxs, task.dataset.labels, task.query.k, 2)
+    return (winners[0] if len(winners) == 1 else None), {}
+
+
+def _label_from_counts(task: PointTask, index: int, sims: np.ndarray) -> tuple[int | None, dict]:
+    counts, stats = _counts(task, index, sims)
+    return certain_label_from_counts(counts), stats
+
+
+def _pruned_decision(task: PointTask, index: int, sims: np.ndarray) -> tuple[int | None, dict]:
+    query = task.query
+    decision, stats = pruned_decision_from_sims(
+        task.dataset, sims, query.k, query.n_labels, task.fixed,
+        implementation=task.implementation,
+    )
+    return decision.certain_label, stats
+
+
+def _oracle_counts(task: PointTask, index: int, sims: np.ndarray) -> tuple[list[int], dict]:
+    # A published engine takes a whole dataset: pins become restriction.
+    query = task.query
+    engine = Q2_ALGORITHMS[query.algorithm]
+    counts = engine(
+        _restricted_dataset(query), query.test_X[index], k=query.k, kernel=query.kernel
+    )
+    return counts, {}
+
+
+def _oracle_label(task: PointTask, index: int, sims: np.ndarray) -> tuple[int | None, dict]:
+    counts, stats = _oracle_counts(task, index, sims)
+    return certain_label_from_counts(counts), stats
+
+
+def _weighted(task: PointTask, index: int, sims: np.ndarray) -> tuple[list[Fraction], dict]:
+    query = task.query
+    probabilities = weighted_prediction_probabilities(
+        task.subject, query.test_X[index], k=query.k, weights=task.weights,
+        kernel=query.kernel, scan=task.scan(sims),
+    )
+    return probabilities, {}
+
+
+def _pruned_weighted(task: PointTask, index: int, sims: np.ndarray) -> tuple[list[Fraction], dict]:
+    query = task.query
+    return pruned_weighted_probabilities(
+        task.subject, query.test_X[index], task.weights, query.k,
+        kernel=query.kernel, scan=task.scan(sims),
+    )
+
+
+def _weighted_label(task: PointTask, index: int, sims: np.ndarray) -> tuple[int | None, dict]:
+    probabilities, stats = _weighted(task, index, sims)
+    return _certain_from_probabilities(probabilities), stats
+
+
+def _pruned_weighted_label(
+    task: PointTask, index: int, sims: np.ndarray
+) -> tuple[int | None, dict]:
+    query = task.query
+    decision, stats = pruned_weighted_decision(
+        task.subject, query.test_X[index], task.weights, query.k,
+        kernel=query.kernel, scan=task.scan(sims), implementation=task.implementation,
+    )
+    return decision.certain_label, stats
+
+
+def _topk(task: PointTask, index: int, sims: np.ndarray) -> tuple[list[int], dict]:
+    query = task.query
+    counts = topk_inclusion_counts(
+        task.subject, query.test_X[index], k=query.k, kernel=query.kernel,
+        scan=task.scan(sims),
+    )
+    return counts, {}
+
+
+def _pruned_topk(task: PointTask, index: int, sims: np.ndarray) -> tuple[list[int], dict]:
+    return pruned_topk_counts_from_scan(task.scan(sims), task.query.k)
+
+
+def _uncertain_counts(task: PointTask, index: int, sims: np.ndarray) -> tuple[list[int], dict]:
+    query = task.query
+    counts = label_uncertain_counts(
+        task.subject, query.test_X[index], k=query.k, kernel=query.kernel,
+        scan=task.scan(sims),
+    )
+    return counts, {}
+
+
+def _pruned_uncertain_counts(
+    task: PointTask, index: int, sims: np.ndarray
+) -> tuple[list[int], dict]:
+    query = task.query
+    return pruned_label_uncertain_counts(
+        task.subject, query.test_X[index], k=query.k, kernel=query.kernel,
+        scan=task.scan(sims),
+    )
+
+
+def _uncertain_label(task: PointTask, index: int, sims: np.ndarray) -> tuple[int | None, dict]:
+    counts, stats = _uncertain_counts(task, index, sims)
+    return certain_label_from_counts(counts), stats
+
+
+def _pruned_uncertain_label(
+    task: PointTask, index: int, sims: np.ndarray
+) -> tuple[int | None, dict]:
+    query = task.query
+    return pruned_label_uncertain_decision(
+        task.subject, query.test_X[index], k=query.k, kernel=query.kernel,
+        scan=task.scan(sims),
+    )
+
+
+#: The one flavor dispatch: ``(flavor, "counts" | "decision", path)`` to a
+#: per-point function ``fn(task, index, sims) -> (value, stats)`` of one
+#: candidate-order similarity row. ``path`` is ``"scan"`` (full sorted
+#: scan), ``"pruned"`` (certificate pass first) or ``"oracle"`` (a
+#: published ``algorithm=`` engine). A ``"decision"`` value is the certain
+#: label or ``None``; ``check`` compares it with the query's label.
+#: Values never depend on the path, so all paths share cache entries.
+POINT_FUNCTIONS: dict[tuple[str, str, str], Callable] = {
+    ("binary", "counts", "scan"): _counts,
+    ("binary", "counts", "pruned"): _pruned_counts,
+    ("binary", "counts", "oracle"): _oracle_counts,
+    ("binary", "decision", "scan"): _minmax_label,
+    ("binary", "decision", "pruned"): _minmax_label,
+    ("binary", "decision", "oracle"): _oracle_label,
+    ("multiclass", "counts", "scan"): _counts,
+    ("multiclass", "counts", "pruned"): _pruned_counts,
+    ("multiclass", "counts", "oracle"): _oracle_counts,
+    ("multiclass", "decision", "scan"): _label_from_counts,
+    ("multiclass", "decision", "pruned"): _pruned_decision,
+    ("multiclass", "decision", "oracle"): _oracle_label,
+    ("weighted", "counts", "scan"): _weighted,
+    ("weighted", "counts", "pruned"): _pruned_weighted,
+    ("weighted", "decision", "scan"): _weighted_label,
+    ("weighted", "decision", "pruned"): _pruned_weighted_label,
+    ("topk", "counts", "scan"): _topk,
+    ("topk", "counts", "pruned"): _pruned_topk,
+    ("label_uncertainty", "counts", "scan"): _uncertain_counts,
+    ("label_uncertainty", "counts", "pruned"): _pruned_uncertain_counts,
+    ("label_uncertainty", "decision", "scan"): _uncertain_label,
+    ("label_uncertainty", "decision", "pruned"): _pruned_uncertain_label,
+}
+
+
+def _mode(query: CPQuery) -> str:
+    return "counts" if query.kind == "counts" else "decision"
+
+
+def _point_function(query: CPQuery, prune: bool) -> Callable:
+    """The table entry serving ``query``.
+
+    An ``algorithm=`` override selects the oracle path where the flavor
+    has one (the others have no alternative engine and ignore it).
+    """
+    mode = _mode(query)
+    if query.algorithm not in ("auto", "engine"):
+        oracle = POINT_FUNCTIONS.get((query.flavor, mode, "oracle"))
+        if oracle is not None:
+            return oracle
+    return POINT_FUNCTIONS[(query.flavor, mode, "pruned" if prune else "scan")]
+
+
+_MISS = object()
+
+
+def _execute_points(
+    query: CPQuery,
+    options: ExecutionOptions,
+    cache: QueryResultCache | None,
+    evaluate: Callable[[PointTask, Callable, list[int]], Mapping[int, tuple[Any, dict]]],
+) -> tuple[PointTask, list, dict]:
+    """The execution skeleton every per-point backend shares.
+
+    Serves what it can from ``cache``, hands the missing point indices to
+    the backend's ``evaluate(task, fn, missing)`` — which owns preparation
+    and fan-out and returns ``{index: (value, stats)}`` — caches the
+    values, folds the per-point stats and applies the ``check`` kind.
+    Returns ``(task, values, stats)``.
+    """
+    prune = _prune_enabled(query, options)
+    fn = _point_function(query, prune)
+    implementation = None if options.scan_kernel == "auto" else options.scan_kernel
+    task = _TASK_BUILDERS[query.flavor](query, implementation)
+    kernel_key = kernel_cache_key(query.kernel)
+    n = query.n_points
+    values: list = [None] * n
+    keys: list[tuple | None] = [None] * n
+    missing: list[int] = []
+    for index in range(n):
+        if cache is not None:
+            keys[index] = (
+                query.flavor, _mode(query), *task.cache_key,
+                _point_key(query.test_X[index]), query.k, kernel_key,
+            )
+            hit = cache.get(keys[index], _MISS)
+            if hit is not _MISS:
+                values[index] = list(hit) if isinstance(hit, list) else hit
+                continue
+        missing.append(index)
+    totals = empty_prune_stats() if prune else None
+    if missing:
+        for index, (value, stats) in evaluate(task, fn, missing).items():
+            values[index] = value
+            if totals is not None and stats:
+                accumulate_prune_stats(totals, stats)
+            if cache is not None:
+                cache.put(keys[index], list(value) if isinstance(value, list) else value)
+    if query.kind == "check":
+        values = [value == query.label for value in values]
+    return task, values, _prune_summary(query, prune, totals)
+
+
+# ---------------------------------------------------------------------------
+# SequentialBackend — per-point preparation
 # ---------------------------------------------------------------------------
 
 
 class SequentialBackend(Backend):
-    """One prepared scan (or flavor kernel) per test point, in process.
+    """One similarity row and one table function per test point, in process.
 
     Supports every flavor, every kind, and every published algorithm
-    override — the reference semantics the other backends are held to.
-    Counting pins go through :meth:`PreparedQuery.counts`, which keeps the
-    paper's tie-break on the original candidate indices; an explicit
-    non-default algorithm with pins falls back to dataset restriction
-    (those engines take no ``fixed`` argument).
+    override. Preparation is per point (one ``pairwise`` call over the
+    dataset's cached stacked candidates), with no fan-out and no result
+    cache — the baseline the other backends are held to.
     """
 
     name = "sequential"
@@ -756,179 +1057,17 @@ class SequentialBackend(Backend):
 
     def execute(self, query, options=None):
         options = options or ExecutionOptions()
-        prune = _prune_enabled(query, options)
-        totals = empty_prune_stats() if prune else None
-        flavor = query.flavor
-        if flavor in ("binary", "multiclass"):
-            values = self._execute_counting(query, options, prune, totals)
-        elif flavor == "weighted":
-            values = self._execute_weighted(query, options, prune, totals)
-        elif flavor == "topk":
-            values = self._execute_topk(query, prune, totals)
-        else:
-            values = self._execute_label_uncertain(query, prune, totals)
-        self.last_stats = _prune_summary(query, prune, totals)
-        return values
 
-    # ------------------------------------------------------------------
-    def _execute_counting(
-        self,
-        query: CPQuery,
-        options: ExecutionOptions,
-        prune: bool,
-        totals: dict | None,
-    ) -> list:
-        fixed = query.pins_dict()
-        if (
-            query.kind in ("certain_label", "check")
-            and query.dataset.n_labels == 2
-            and query.algorithm in ("auto", "engine")
-        ):
-            # The MM shortcut (Algorithm 2): no counting at all. Exact, and
-            # it matches the counts-based answer bit for bit (tested).
-            # Already the maximally early-terminating path — pruning would
-            # only add work, so the certificate pass is skipped here.
-            labels = [
-                PreparedQuery(
-                    query.dataset, t, k=query.k, kernel=query.kernel
-                ).certain_label_minmax(fixed)
-                for t in query.test_X
-            ]
-            if query.kind == "certain_label":
-                return labels
-            return [lbl == query.label for lbl in labels]
+        def evaluate(task, fn, missing):
+            results = {}
+            for index in missing:
+                point = query.test_X[index : index + 1]
+                sims = similarity_matrix(task.dataset, point, query.kernel)[0]
+                results[index] = fn(task, index, sims)
+            return results
 
-        if prune:
-            # Binary decisions took the MM branch above, so a decision kind
-            # here is multiclass: the early-terminating decision kernel
-            # answers it without building full counts.
-            if query.kind == "counts":
-                counts = []
-                for t in query.test_X:
-                    scan = compute_scan_order(query.dataset, t, query.kernel)
-                    point_counts, stats = pruned_counts_from_scan(
-                        scan, query.k, query.n_labels, fixed
-                    )
-                    accumulate_prune_stats(totals, stats)
-                    counts.append(point_counts)
-                return counts
-            labels = []
-            for t in query.test_X:
-                scan = compute_scan_order(query.dataset, t, query.kernel)
-                decision, stats = pruned_decision_from_scan(
-                    scan,
-                    query.k,
-                    query.n_labels,
-                    fixed,
-                    implementation=_scan_kernel_arg(options),
-                )
-                accumulate_prune_stats(totals, stats)
-                labels.append(decision.certain_label)
-            if query.kind == "certain_label":
-                return labels
-            return [lbl == query.label for lbl in labels]
-
-        if query.algorithm in ("auto", "engine"):
-            counts = [
-                PreparedQuery(query.dataset, t, k=query.k, kernel=query.kernel).counts(
-                    fixed
-                )
-                for t in query.test_X
-            ]
-        else:
-            engine = Q2_ALGORITHMS[query.algorithm]
-            dataset = _restricted_dataset(query) if fixed else query.dataset
-            counts = [
-                engine(dataset, t, k=query.k, kernel=query.kernel)
-                for t in query.test_X
-            ]
-        return _counts_to_kind(query, counts)
-
-    def _execute_weighted(
-        self,
-        query: CPQuery,
-        options: ExecutionOptions,
-        prune: bool,
-        totals: dict | None,
-    ) -> list:
-        weights = _conditioned_weights(query)
-        if prune:
-            if query.kind == "counts":
-                probs = []
-                for t in query.test_X:
-                    point_probs, stats = pruned_weighted_probabilities(
-                        query.dataset, t, weights, query.k, kernel=query.kernel
-                    )
-                    accumulate_prune_stats(totals, stats)
-                    probs.append(point_probs)
-                return probs
-            labels = []
-            for t in query.test_X:
-                decision, stats = pruned_weighted_decision(
-                    query.dataset,
-                    t,
-                    weights,
-                    query.k,
-                    kernel=query.kernel,
-                    implementation=_scan_kernel_arg(options),
-                )
-                accumulate_prune_stats(totals, stats)
-                labels.append(decision.certain_label)
-            if query.kind == "certain_label":
-                return labels
-            return [lbl == query.label for lbl in labels]
-        probs = [
-            weighted_prediction_probabilities(
-                query.dataset, t, k=query.k, weights=weights, kernel=query.kernel
-            )
-            for t in query.test_X
-        ]
-        return _weighted_to_kind(query, probs)
-
-    def _execute_topk(self, query: CPQuery, prune: bool, totals: dict | None) -> list:
-        dataset = _restricted_dataset(query)
-        if prune:
-            values = []
-            for t in query.test_X:
-                scan = compute_scan_order(dataset, t, query.kernel)
-                counts, stats = pruned_topk_counts_from_scan(scan, query.k)
-                accumulate_prune_stats(totals, stats)
-                values.append(counts)
-            return values
-        return [
-            topk_inclusion_counts(dataset, t, k=query.k, kernel=query.kernel)
-            for t in query.test_X
-        ]
-
-    def _execute_label_uncertain(
-        self, query: CPQuery, prune: bool, totals: dict | None
-    ) -> list:
-        dataset = _restricted_dataset(query)
-        if prune:
-            if query.kind == "counts":
-                counts = []
-                for t in query.test_X:
-                    point_counts, stats = pruned_label_uncertain_counts(
-                        dataset, t, k=query.k, kernel=query.kernel
-                    )
-                    accumulate_prune_stats(totals, stats)
-                    counts.append(point_counts)
-                return counts
-            labels = []
-            for t in query.test_X:
-                label, stats = pruned_label_uncertain_decision(
-                    dataset, t, k=query.k, kernel=query.kernel
-                )
-                accumulate_prune_stats(totals, stats)
-                labels.append(label)
-            if query.kind == "certain_label":
-                return labels
-            return [lbl == query.label for lbl in labels]
-        counts = [
-            label_uncertain_counts(dataset, t, k=query.k, kernel=query.kernel)
-            for t in query.test_X
-        ]
-        return _counts_to_kind(query, counts)
+        _, values, stats = _execute_points(query, options, None, evaluate)
+        return values, stats
 
 
 # ---------------------------------------------------------------------------
@@ -936,95 +1075,21 @@ class SequentialBackend(Backend):
 # ---------------------------------------------------------------------------
 
 
-def _weighted_worker(index: int) -> tuple[int, list[Fraction]]:
-    """Pool worker: weighted probabilities of one point from shared state."""
-    prepared, dataset, k, weights, kernel = get_fanout_state()
-    probs = weighted_prediction_probabilities(
-        dataset,
-        prepared.test_X[index],
-        k=k,
-        weights=weights,
-        kernel=kernel,
-        scan=prepared.scan(index),
-    )
-    return index, probs
-
-
-def _topk_worker(index: int) -> tuple[int, list[int]]:
-    """Pool worker: top-K inclusion counts of one point from shared state."""
-    prepared, k = get_fanout_state()
-    counts = topk_inclusion_counts(
-        prepared.dataset,
-        prepared.test_X[index],
-        k=k,
-        kernel=prepared.kernel,
-        scan=prepared.scan(index),
-    )
-    return index, counts
-
-
-def _label_uncertain_worker(index: int) -> tuple[int, list[int]]:
-    """Pool worker: label-uncertain counts of one point from shared state."""
-    prepared, dataset, k = get_fanout_state()
-    counts = label_uncertain_counts(
-        dataset,
-        prepared.test_X[index],
-        k=k,
-        kernel=prepared.kernel,
-        scan=prepared.scan(index),
-    )
-    return index, counts
-
-
-def _pruned_weighted_worker(index: int) -> tuple[int, list[Fraction], dict]:
-    """Pool worker: pruned weighted probabilities (bit-identical, cheaper DP)."""
-    prepared, dataset, k, weights, kernel = get_fanout_state()
-    probs, stats = pruned_weighted_probabilities(
-        dataset,
-        prepared.test_X[index],
-        weights,
-        k,
-        kernel=kernel,
-        scan=prepared.scan(index),
-    )
-    return index, probs, stats
-
-
-def _pruned_topk_worker(index: int) -> tuple[int, list[int], dict]:
-    """Pool worker: pruned top-K inclusion counts of one point."""
-    prepared, k = get_fanout_state()
-    counts, stats = pruned_topk_counts_from_scan(prepared.scan(index), k)
-    return index, counts, stats
-
-
-def _pruned_label_uncertain_worker(index: int) -> tuple[int, list[int], dict]:
-    """Pool worker: pruned label-uncertain counts of one point.
-
-    ``until_mixed`` stays off: the cached value must be the full count
-    vector so pruned and unpruned calls can share cache entries.
-    """
-    prepared, dataset, k = get_fanout_state()
-    counts, stats = pruned_label_uncertain_counts(
-        dataset,
-        prepared.test_X[index],
-        k=k,
-        kernel=prepared.kernel,
-        scan=prepared.scan(index),
-    )
-    return index, counts, stats
+def _point_worker(index: int) -> tuple[int, tuple[Any, dict]]:
+    """Pool worker: one table function on one row of the shared matrix."""
+    task, fn, sims_matrix = get_fanout_state()
+    return index, fn(task, index, sims_matrix[index])
 
 
 class BatchParallelBackend(Backend):
-    """The batch execution layer behind one registry name.
+    """One vectorised preparation, ``fork`` fan-out and result caching.
 
-    Counting queries run through :class:`BatchQueryExecutor` exactly as in
-    PR 1; the weighted, top-k and label-uncertain flavors get the same
-    treatment — one shared :class:`PreparedBatch` per
-    ``(dataset, test matrix, k, kernel)`` family (kept in a small LRU, or
-    handed in via :attr:`ExecutionOptions.prepared`), per-point scans
-    derived from the shared similarity matrix, ``fork`` fan-out across
-    ``n_jobs`` workers, and a fingerprint-keyed result cache shared across
-    calls.
+    Per ``(dataset, test matrix, k, kernel)`` family one shared
+    :class:`PreparedBatch` (kept in a small LRU, or handed in via
+    :attr:`ExecutionOptions.prepared`) supplies every point's similarity
+    row from a single kernel call; the table functions run across
+    ``n_jobs`` forked workers, and values land in a fingerprint-keyed
+    result cache shared across calls.
     """
 
     name = "batch"
@@ -1067,14 +1132,8 @@ class BatchParallelBackend(Backend):
         kernel: Kernel,
         options: ExecutionOptions,
     ) -> PreparedBatch:
-        handed = options.prepared
-        if (
-            handed is not None
-            and handed.k == k
-            and kernel_cache_key(handed.kernel) == kernel_cache_key(kernel)
-            and handed.fingerprint() == dataset.fingerprint()
-            and np.array_equal(handed.test_X, test_X)
-        ):
+        handed = _handed_prepared(options, dataset, test_X, k, kernel)
+        if handed is not None:
             return handed
         key = (
             dataset.fingerprint(),
@@ -1098,180 +1157,23 @@ class BatchParallelBackend(Backend):
     # ------------------------------------------------------------------
     def execute(self, query, options=None):
         options = options or ExecutionOptions()
-        prune = _prune_enabled(query, options)
-        totals = empty_prune_stats() if prune else None
-        flavor = query.flavor
-        if flavor in ("binary", "multiclass"):
-            values = self._execute_counting(query, options, prune, totals)
-        elif flavor == "weighted":
-            values = self._execute_weighted(query, options, prune, totals)
-        elif flavor == "topk":
-            values = self._execute_topk(query, options, prune, totals)
-        else:
-            values = self._execute_label_uncertain(query, options, prune, totals)
-        self.last_stats = _prune_summary(query, prune, totals)
-        return values
 
-    def _execute_counting(
-        self,
-        query: CPQuery,
-        options: ExecutionOptions,
-        prune: bool,
-        totals: dict | None,
-    ) -> list:
-        prepared = self._prepared_for(
-            query.dataset, query.test_X, query.k, query.kernel, options
-        )
-        cache = self._resolve_cache(options)
-        executor = BatchQueryExecutor(
-            prepared=prepared,
-            n_jobs=options.n_jobs,
-            # An empty QueryResultCache is falsy (it has __len__), so the
-            # None check must be explicit or a fresh shared cache would be
-            # silently dropped.
-            cache=cache if cache is not None else False,
-        )
-        fixed = query.pins_dict()
-        if query.kind == "counts":
-            return executor.counts(fixed, prune=prune, prune_stats=totals)
-        # Decision kinds: binary takes the MM scan regardless of prune;
-        # multiclass takes the pruned early-terminating decision kernel
-        # when pruning is on and full counts otherwise.
-        labels = executor.certain_labels(
-            fixed,
-            prune=prune,
-            scan_kernel=_scan_kernel_arg(options),
-            prune_stats=totals,
-        )
-        if query.kind == "certain_label":
-            return labels
-        return [lbl == query.label for lbl in labels]
+        def evaluate(task, fn, missing):
+            prepared = self._prepared_for(
+                task.dataset, query.test_X, query.k, query.kernel, options
+            )
+            pairs = fanout_map(
+                _point_worker,
+                missing,
+                n_jobs=options.n_jobs,
+                state=(task, fn, prepared.sims_matrix),
+            )
+            return dict(pairs)
 
-    # ------------------------------------------------------------------
-    def _fanout_cached(
-        self,
-        query: CPQuery,
-        options: ExecutionOptions,
-        prepared: PreparedBatch,
-        tag: str,
-        extra_key: tuple,
-        worker,
-        state: tuple,
-        totals: dict | None = None,
-        has_stats: bool = False,
-    ) -> list:
-        """Cache-then-fan-out skeleton shared by the non-counting flavors.
-
-        With ``has_stats`` the worker returns ``(index, value, stats)``
-        triples; the stats are folded into ``totals`` and only the value
-        is cached — pruned and unpruned workers are bit-identical, so they
-        share the same cache entries.
-        """
-        cache = self._resolve_cache(options)
-        n = prepared.n_points
-        results: list = [None] * n
-        missing: list[int] = []
-        keys: list[tuple | None] = [None] * n
-        for index in range(n):
-            if cache is not None:
-                keys[index] = (
-                    tag,
-                    prepared.fingerprint(),
-                    _point_key(prepared.test_X[index]),
-                    query.k,
-                    kernel_cache_key(query.kernel),
-                    extra_key,
-                )
-                hit = cache.get(keys[index], None)
-                if hit is not None:
-                    results[index] = list(hit)
-                    continue
-            missing.append(index)
-        if missing:
-            prepared.materialize_scans(missing)
-            items = fanout_map(worker, missing, n_jobs=options.n_jobs, state=state)
-            for item in items:
-                if has_stats:
-                    index, value, stats = item
-                    if totals is not None:
-                        accumulate_prune_stats(totals, stats)
-                else:
-                    index, value = item
-                results[index] = value
-                if cache is not None:
-                    cache.put(keys[index], list(value))
-        return results
-
-    def _execute_weighted(
-        self,
-        query: CPQuery,
-        options: ExecutionOptions,
-        prune: bool,
-        totals: dict | None,
-    ) -> list:
-        weights = _conditioned_weights(query)
-        prepared = self._prepared_for(
-            query.dataset, query.test_X, query.k, query.kernel, options
+        _, values, stats = _execute_points(
+            query, options, self._resolve_cache(options), evaluate
         )
-        probs = self._fanout_cached(
-            query,
-            options,
-            prepared,
-            tag="wt",
-            extra_key=_weights_key(weights),
-            worker=_pruned_weighted_worker if prune else _weighted_worker,
-            state=(prepared, query.dataset, query.k, weights, query.kernel),
-            totals=totals,
-            has_stats=prune,
-        )
-        return _weighted_to_kind(query, probs)
-
-    def _execute_topk(
-        self,
-        query: CPQuery,
-        options: ExecutionOptions,
-        prune: bool,
-        totals: dict | None,
-    ) -> list:
-        dataset = _restricted_dataset(query)
-        prepared = self._prepared_for(
-            dataset, query.test_X, query.k, query.kernel, options
-        )
-        return self._fanout_cached(
-            query,
-            options,
-            prepared,
-            tag="topk",
-            extra_key=(),
-            worker=_pruned_topk_worker if prune else _topk_worker,
-            state=(prepared, query.k),
-            totals=totals,
-            has_stats=prune,
-        )
-
-    def _execute_label_uncertain(
-        self,
-        query: CPQuery,
-        options: ExecutionOptions,
-        prune: bool,
-        totals: dict | None,
-    ) -> list:
-        dataset = _restricted_dataset(query)
-        prepared = self._prepared_for(
-            dataset.feature_dataset, query.test_X, query.k, query.kernel, options
-        )
-        counts = self._fanout_cached(
-            query,
-            options,
-            prepared,
-            tag="lu",
-            extra_key=(dataset.fingerprint(),),
-            worker=_pruned_label_uncertain_worker if prune else _label_uncertain_worker,
-            state=(prepared, dataset, query.k),
-            totals=totals,
-            has_stats=prune,
-        )
-        return _counts_to_kind(query, counts)
+        return values, stats
 
 
 # ---------------------------------------------------------------------------
@@ -1280,16 +1182,19 @@ class BatchParallelBackend(Backend):
 
 
 class IncrementalBackend(Backend):
-    """Serves repeated pinned queries from maintained incremental state.
+    """Serves repeated pinned queries from maintained delta state.
 
     Per query family ``(dataset fingerprint, test matrix, k, kernel)`` the
-    backend keeps one :class:`IncrementalCPState` in a small LRU. A query
-    whose pins extend the state's pins pays only the delta — the exact
-    pruning rule divides most points' counts in O(1) and recounts the few
-    contested ones — instead of a full per-point re-preparation. Pins that
-    contradict or shrink the maintained set rebuild the state (correct for
-    any pin pattern; fast for the monotone pin growth of a cleaning
-    session, which is the workload this backend exists for).
+    backend keeps one :class:`~repro.core.deltas.DeltaMaintainedState` in
+    a small LRU and applies each new pin as a
+    :class:`~repro.core.deltas.CellRepair` — a pinned row has one
+    candidate, so restricting it physically cannot change any tie-break.
+    A query whose pins extend the maintained set pays only the delta: the
+    domination rule scales most points' counts in O(1) and recounts the
+    few contested ones. Pins that contradict or shrink the maintained set
+    rebuild the state (correct for any pin pattern; fast for the monotone
+    pin growth of a cleaning session, which is the workload this backend
+    exists for).
     """
 
     name = "incremental"
@@ -1303,7 +1208,10 @@ class IncrementalBackend(Backend):
     )
 
     def __init__(self, max_states: int = 8) -> None:
-        self._states: OrderedDict[tuple, IncrementalCPState] = OrderedDict()
+        #: Per family: the maintained state and the pins applied to it.
+        self._states: OrderedDict[tuple, tuple[DeltaMaintainedState, dict[int, int]]] = (
+            OrderedDict()
+        )
         self.max_states = check_positive_int(max_states, "max_states")
         # The backend-wide lock only guards the registry bookkeeping; the
         # expensive per-family work (state builds, pin maintenance) runs
@@ -1322,16 +1230,40 @@ class IncrementalBackend(Backend):
             kernel_cache_key(query.kernel),
         )
 
-    def _warm_state(self, query: CPQuery) -> IncrementalCPState | None:
+    @staticmethod
+    def _extends(pins: Mapping[int, int], applied: Mapping[int, int]) -> bool:
+        return all(pins.get(row) == cand for row, cand in applied.items())
+
+    def _warm_state(self, query: CPQuery) -> DeltaMaintainedState | None:
         """The maintained state if it exists and its pins extend to the query's."""
         with self._lock:
-            state = self._states.get(self._family_key(query))
-        if state is None:
-            return None
-        pins = query.pins_dict()
-        if all(pins.get(row) == cand for row, cand in state.fixed.items()):
-            return state
+            entry = self._states.get(self._family_key(query))
+        if entry is not None and self._extends(query.pins_dict(), entry[1]):
+            return entry[0]
         return None
+
+    @staticmethod
+    def _build_state(query: CPQuery, options: ExecutionOptions) -> DeltaMaintainedState:
+        """A state for the query's dataset with its current pins already
+        restricted in (a cold build counts each point once, no delta work);
+        similarities come from a matching handed-in batch when there is one."""
+        sims_matrix = None
+        handed = _handed_prepared(options, query.dataset, query.test_X, query.k, query.kernel)
+        if handed is not None:
+            _, rows, cands, counts, _ = query.dataset.stacked_candidates()
+            pinned = np.full(counts.shape[0], -1, dtype=np.int64)
+            for row, cand in query.pins:
+                pinned[row] = cand
+            row_pins = pinned[rows]
+            sims_matrix = handed.sims_matrix[:, (row_pins < 0) | (cands == row_pins)]
+        return DeltaMaintainedState(
+            _restricted_dataset(query),
+            query.test_X,
+            k=query.k,
+            kernel=query.kernel,
+            sims_matrix=sims_matrix,
+            prune=_prune_enabled(query, options),
+        )
 
     def estimate_cost(self, query, options):
         if self._warm_state(query) is not None:
@@ -1346,21 +1278,13 @@ class IncrementalBackend(Backend):
             family_lock = self._family_locks.setdefault(key, threading.Lock())
         with family_lock:
             with self._lock:
-                state = self._states.get(key)
-            if state is not None and not all(
-                pins.get(row) == cand for row, cand in state.fixed.items()
-            ):
-                state = None  # pins shrank or contradict: rebuild
-            if state is None:
-                state = IncrementalCPState(
-                    query.dataset,
-                    query.test_X,
-                    k=query.k,
-                    kernel=query.kernel,
-                    prune=_prune_enabled(query, options),
-                )
+                entry = self._states.get(key)
+            if entry is not None and not self._extends(pins, entry[1]):
+                entry = None  # pins shrank or contradict: rebuild
+            if entry is None:
+                entry = (self._build_state(query, options), pins)
                 with self._lock:
-                    self._states[key] = state
+                    self._states[key] = entry
                     self.n_rebuilds += 1
             else:
                 with self._lock:
@@ -1370,18 +1294,18 @@ class IncrementalBackend(Backend):
                 while len(self._states) > self.max_states:
                     evicted, _ = self._states.popitem(last=False)
                     self._family_locks.pop(evicted, None)
-            delta = sorted(
-                (row, cand) for row, cand in pins.items() if row not in state.fixed
-            )
-            state.pin_many(delta)
+            state, applied = entry
+            for row, cand in sorted(pins.items()):
+                if row not in applied:
+                    state.apply(CellRepair(row, cand))
+                    applied[row] = cand
             counts = state.counts_all()
-            summary = _prune_summary(
+            stats = _prune_summary(
                 query, state.prune, dict(state.prune_stats) if state.prune else None
             )
-            summary["n_rows_skipped"] = state.n_pruned
-            summary["n_recomputed"] = state.n_recomputed
-            self.last_stats = summary
-        return _counts_to_kind(query, counts)
+            stats["n_rows_skipped"] = state.n_pruned
+            stats["n_recomputed"] = state.n_recomputed
+        return _counts_to_kind(query, counts), stats
 
 
 # ---------------------------------------------------------------------------

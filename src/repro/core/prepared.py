@@ -14,8 +14,14 @@ variants. :class:`PreparedQuery` owns that shared state and answers:
   (its hypothetical candidate was scanned earlier) or still above it, so
   per-variant results decompose into prefix sums of two per-position
   aggregates plus a boundary term at the variant's own position;
-* :meth:`certain_label_minmax` — the MM check from cached per-row extreme
-  similarities.
+* :meth:`certain_label_minmax` — the MM check from the per-row extremes of
+  the point's similarity row.
+
+The point's similarities come from the one preparation path — a single
+``kernel.pairwise`` call over the dataset's cached stacked candidates (or a
+row of a :class:`~repro.core.batch_engine.PreparedBatch` matrix) — and
+:meth:`counts` runs the production kernel
+:func:`~repro.core.engine.counts_from_scan`.
 
 This turns one CPClean candidate-selection step from
 ``O(n_dirty * M * |Dval|)`` full Q2 evaluations into
@@ -30,12 +36,12 @@ from collections.abc import Mapping
 import numpy as np
 
 from repro.core.dataset import IncompleteDataset
-from repro.core.engine import LabelPolynomials
+from repro.core.engine import LabelPolynomials, counts_from_scan
 from repro.core.kernels import Kernel, resolve_kernel
-from repro.core.knn import majority_label, top_k_rows
-from repro.core.scan import ScanOrder, compute_scan_order
+from repro.core.minmax import extreme_winners, row_extremes
+from repro.core.scan import ScanOrder, scan_from_sims, similarity_matrix
 from repro.core.tally import tallies_with_prediction
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_int, check_vector
 
 __all__ = ["PreparedQuery"]
 
@@ -50,8 +56,8 @@ class PreparedQuery:
         k: int = 3,
         kernel: Kernel | str | None = None,
         *,
+        sims: np.ndarray | None = None,
         scan: ScanOrder | None = None,
-        row_sims: list[np.ndarray] | None = None,
     ) -> None:
         self.k = check_positive_int(k, "k")
         if self.k > dataset.n_rows:
@@ -59,22 +65,16 @@ class PreparedQuery:
         self.dataset = dataset
         self.kernel = resolve_kernel(kernel)
         self.n_labels = dataset.n_labels
-        # `scan`/`row_sims` let a batch preparer (PreparedBatch) hand over
-        # state it computed vectorised for many test points at once; they
+        # `sims`/`scan` let a batch preparer (PreparedBatch) hand over the
+        # point's row of its similarity matrix and its cached scan; they
         # must describe the same (dataset, t, kernel) the caller passes.
-        self._scan = scan if scan is not None else compute_scan_order(dataset, t, self.kernel)
+        if sims is None:
+            t = check_vector(t, "t", length=dataset.n_features)
+            sims = similarity_matrix(dataset, t[None, :], self.kernel)[0]
+        self._sims = sims
+        self._scan = scan if scan is not None else scan_from_sims(dataset, sims)
+        self._offsets = dataset.stacked_candidates()[4]
         self._tallies = tallies_with_prediction(self.k, self.n_labels)
-        if row_sims is not None:
-            self._row_sims = row_sims
-        else:
-            # Per-row candidate similarities in candidate order, for MinMax.
-            self._row_sims = [
-                np.empty(int(m), dtype=np.float64) for m in self._scan.row_counts
-            ]
-            for position in range(self._scan.n_candidates):
-                row = int(self._scan.rows[position])
-                cand = int(self._scan.cands[position])
-                self._row_sims[row][cand] = float(self._scan.sims[position])
 
     # ------------------------------------------------------------------
     def _effective_counts(self, fixed: Mapping[int, int]) -> np.ndarray:
@@ -100,31 +100,7 @@ class PreparedQuery:
         their full candidate sets. With ``fixed=None`` this equals
         ``q2_counts(dataset, t)``.
         """
-        fixed = dict(fixed or {})
-        scan = self._scan
-        counts = self._effective_counts(fixed)
-        state = LabelPolynomials(scan.row_labels, counts, self.k, self.n_labels)
-        result = [0] * self.n_labels
-
-        for position in range(scan.n_candidates):
-            row = int(scan.rows[position])
-            cand = int(scan.cands[position])
-            if not self._is_active(fixed, row, cand):
-                continue
-            state.advance(row)
-            coeffs = state.coefficients_excluding(row)
-            y_row = int(scan.row_labels[row])
-            for tally, winner in self._tallies:
-                if tally[y_row] < 1:
-                    continue
-                support = 1
-                for label, slots in enumerate(tally):
-                    want = slots - 1 if label == y_row else slots
-                    support *= coeffs[label][want]
-                    if support == 0:
-                        break
-                result[winner] += support
-        return result
+        return counts_from_scan(self._scan, self.k, self.n_labels, fixed)
 
     # ------------------------------------------------------------------
     def counts_per_fixing(
@@ -230,30 +206,11 @@ class PreparedQuery:
     def certain_label_minmax(self, fixed: Mapping[int, int] | None = None) -> int | None:
         """MM check (binary labels): the CP'ed label or ``None``.
 
-        Uses the cached per-row candidate similarities; ``fixed`` rows use
-        their pinned candidate's similarity as both extreme.
+        Uses the point's similarity row; ``fixed`` rows use their pinned
+        candidate's similarity as both extreme.
         """
         if self.n_labels > 2:
             raise ValueError("the MinMax check is only valid for binary classification")
-        fixed = dict(fixed or {})
-        labels = self._scan.row_labels
-        n = labels.shape[0]
-        mins = np.empty(n, dtype=np.float64)
-        maxs = np.empty(n, dtype=np.float64)
-        for row in range(n):
-            pinned = fixed.get(row)
-            if pinned is not None:
-                sim = self._row_sims[row][pinned]
-                mins[row] = sim
-                maxs[row] = sim
-            else:
-                mins[row] = self._row_sims[row].min()
-                maxs[row] = self._row_sims[row].max()
-
-        winners = []
-        for target in range(self.n_labels):
-            sims = np.where(labels == target, maxs, mins)
-            top = top_k_rows(sims, self.k)
-            if majority_label(labels[top], tally_size=self.n_labels) == target:
-                winners.append(target)
+        mins, maxs = row_extremes(self._sims, self._offsets, fixed)
+        winners = extreme_winners(mins, maxs, self._scan.row_labels, self.k, self.n_labels)
         return winners[0] if len(winners) == 1 else None

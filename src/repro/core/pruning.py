@@ -5,10 +5,11 @@ over the candidate similarities can prove that most rows are *irrelevant*:
 row ``r`` can never enter any world's top-K set when at least ``k`` other
 rows' **worst-case** similarity strictly dominates ``r``'s **best-case**
 similarity — in every world those ``k`` rows rank strictly above every
-candidate of ``r`` (strict dominance beats any tie-break). This is the
-same irrelevance rule the delta-maintenance layer uses for update pruning
-(:func:`repro.core.deltas.row_is_irrelevant`), promoted to a first-class
-pre-scan pass with an explicit, checkable certificate.
+candidate of ``r`` (strict dominance beats any tie-break). This module is
+the rule's one home: :func:`prune_mask` applies it to every row of one
+point (the pre-scan certificate pass), :func:`dominated_mask` to one row
+across many points (the delta-maintenance layer's update pruning in
+:mod:`repro.core.deltas`).
 
 Dropping an irrelevant row is exact, not approximate:
 
@@ -31,7 +32,7 @@ brute-force world oracle: pruned rows never appear in any world's top-K,
 and every query answer is bit-identical with pruning on or off.
 
 The reduced scans feed the exact counting kernels
-(:func:`repro.core.batch_engine._counts_from_scan` and friends) for
+(:func:`repro.core.engine.counts_from_scan` and friends) for
 ``counts`` queries, and the vectorised decision kernels of
 :mod:`repro.core.scan_kernels` — the generalized Fig-9 early-termination
 scan — for ``certain_label``/``check`` queries.
@@ -46,9 +47,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from repro.core.batch_engine import _counts_from_scan
 from repro.core.dataset import IncompleteDataset
-from repro.core.scan import ScanOrder
+from repro.core.engine import counts_from_scan
+from repro.core.minmax import row_extremes
+from repro.core.scan import ScanOrder, sorted_scan
 from repro.core.scan_kernels import DecisionScan, decision_winners
 
 __all__ = [
@@ -56,6 +58,7 @@ __all__ = [
     "interval_arrays",
     "batch_interval_arrays",
     "prune_mask",
+    "dominated_mask",
     "certificate_from_intervals",
     "apply_pins_to_scan",
     "restrict_scan",
@@ -115,13 +118,22 @@ def prune_mask(mins: np.ndarray, maxs: np.ndarray, k: int) -> np.ndarray:
 
     Row ``r`` is prunable iff at least ``k`` other rows have
     ``min > maxs[r]``. The self term never fires (``mins[r] <= maxs[r]``),
-    so one sort plus one ``searchsorted`` answers all rows at once. The
-    rule is exactly :func:`repro.core.deltas.row_is_irrelevant`,
-    vectorised.
+    so one sort plus one ``searchsorted`` answers all rows at once.
     """
     sorted_mins = np.sort(mins)
     n_dominating = mins.shape[0] - np.searchsorted(sorted_mins, maxs, side="right")
     return n_dominating >= k
+
+
+def dominated_mask(mins: np.ndarray, best: np.ndarray, k: int) -> np.ndarray:
+    """The rule of :func:`prune_mask` for one row across many points.
+
+    ``mins`` is ``(T, N)`` (per point, every row's worst case) and ``best``
+    the ``(T,)`` best case of one row — a row of ``mins`` or one about to
+    be appended. Per point: at least ``k`` rows dominate it strictly. As in
+    :func:`prune_mask` a row never dominates itself.
+    """
+    return np.count_nonzero(mins > best[:, None], axis=1) >= k
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +381,11 @@ def pruned_counts_from_scan(
     """Q2 counts with irrelevant rows pruned — bit-identical, scaled back.
 
     Returns ``(counts, stats)`` where ``counts`` equals
-    ``_counts_from_scan(scan, k, n_labels, fixed)`` exactly: the reduced
+    ``counts_from_scan(scan, k, n_labels, fixed)`` exactly: the reduced
     problem's counts times the certificate's world-multiplicity scale.
     """
     effective, reduced, cert = _reduced_problem(scan, k, fixed)
-    counts = _counts_from_scan(reduced, k, n_labels)
+    counts = counts_from_scan(reduced, k, n_labels)
     if cert.scale != 1:
         counts = [count * cert.scale for count in counts]
     return counts, _stats(effective, cert, reduced.n_candidates, False)
@@ -389,7 +401,7 @@ def pruned_decision_from_scan(
     """The certain-label verdict via prune + vectorised decision scan.
 
     ``DecisionScan.certain_label`` equals
-    ``certain_label_from_counts(_counts_from_scan(scan, ...))`` exactly;
+    ``certain_label_from_counts(counts_from_scan(scan, ...))`` exactly;
     the scan stops as soon as the verdict is locked.
     """
     effective, reduced, cert = _reduced_problem(scan, k, fixed)
@@ -399,63 +411,45 @@ def pruned_decision_from_scan(
 
 
 def _reduced_from_sims(
+    dataset: IncompleteDataset,
     sims_row: np.ndarray,
-    rows: np.ndarray,
-    cands: np.ndarray,
-    labels: np.ndarray,
-    counts: np.ndarray,
     k: int,
     fixed: Mapping[int, int] | None,
 ) -> tuple[int, ScanOrder, PruneCertificate]:
     """Prune *before* sorting: certificate + reduced scan from raw sims.
 
-    This is the batch backend's fast path — the full scan's
-    ``O(P log P)`` lexsort is replaced by a sort of only the surviving
-    positions, and the dropped positions never touch the counting kernel.
-    The subset sort with the same ``(similarity, row desc, cand desc)``
-    keys reproduces the full scan's order on the subset exactly (the order
-    is total: ``(row, cand)`` pairs are unique).
+    ``sims_row`` is one candidate-order similarity row of ``dataset``. The
+    full scan's ``O(P log P)`` lexsort is replaced by a sort of only the
+    surviving positions, and the dropped positions never touch the
+    counting kernel. The subset sort with the same ``(similarity, row
+    desc, cand desc)`` keys reproduces the full scan's order on the subset
+    exactly (the order is total: ``(row, cand)`` pairs are unique).
     """
-    n = int(counts.shape[0])
-    eff_counts = np.asarray(counts, dtype=np.int64).copy()
+    _, rows, cands, counts, offsets = dataset.stacked_candidates()
+    mins, maxs = row_extremes(sims_row, offsets, fixed)
+    eff_counts = counts.copy()
+    position_mask = np.ones(rows.shape[0], dtype=bool)
     if fixed:
-        pinned = np.full(n, -1, dtype=np.int64)
+        pinned = np.full(counts.shape[0], -1, dtype=np.int64)
         for row, cand in fixed.items():
-            if not 0 <= cand < eff_counts[row]:
-                raise IndexError(
-                    f"fixed candidate {cand} out of range for row {row} "
-                    f"with {eff_counts[row]} candidates"
-                )
             pinned[row] = cand
             eff_counts[row] = 1
         row_pins = pinned[rows]
-        active = (row_pins < 0) | (cands == row_pins)
-        act_rows, act_cands, act_sims = rows[active], cands[active], sims_row[active]
-    else:
-        act_rows, act_cands, act_sims = rows, cands, sims_row
-
-    mins = np.full(n, np.inf, dtype=np.float64)
-    maxs = np.full(n, -np.inf, dtype=np.float64)
-    np.minimum.at(mins, act_rows, act_sims)
-    np.maximum.at(maxs, act_rows, act_sims)
+        position_mask = (row_pins < 0) | (cands == row_pins)
     cert = certificate_from_intervals(mins, maxs, k, eff_counts)
 
-    keep_mask = np.zeros(n, dtype=bool)
+    keep_mask = np.zeros(counts.shape[0], dtype=bool)
     keep_mask[cert.keep_rows] = True
-    position_mask = keep_mask[act_rows]
-    sub_rows = act_rows[position_mask]
-    sub_cands = act_cands[position_mask]
-    sub_sims = act_sims[position_mask]
-    order = np.lexsort((-sub_cands, -sub_rows, sub_sims))
+    position_mask &= keep_mask[rows]
     new_index = np.cumsum(keep_mask) - 1
-    reduced = ScanOrder(
-        rows=new_index[sub_rows[order]],
-        cands=sub_cands[order],
-        sims=sub_sims[order],
-        row_labels=np.asarray(labels, dtype=np.int64)[keep_mask],
-        row_counts=eff_counts[keep_mask],
+    reduced = sorted_scan(
+        sims_row[position_mask],
+        new_index[rows[position_mask]],
+        cands[position_mask],
+        dataset.labels[keep_mask],
+        eff_counts[keep_mask],
     )
-    return int(act_rows.shape[0]), reduced, cert
+    return int(eff_counts.sum()), reduced, cert
 
 
 def _sims_stats(
@@ -476,44 +470,34 @@ def _sims_stats(
 
 
 def pruned_counts_from_sims(
+    dataset: IncompleteDataset,
     sims_row: np.ndarray,
-    rows: np.ndarray,
-    cands: np.ndarray,
-    labels: np.ndarray,
-    counts: np.ndarray,
     k: int,
     n_labels: int,
     fixed: Mapping[int, int] | None = None,
 ) -> tuple[list[int], dict]:
     """Q2 counts straight from candidate-order similarities, pruned first.
 
-    Bit-identical to ``_counts_from_scan(scan_of(sims_row), ...)``; the
-    full sort never happens.
+    Bit-identical to ``counts_from_scan(scan_from_sims(dataset, sims_row),
+    ...)``; the full sort never happens.
     """
-    n_effective, reduced, cert = _reduced_from_sims(
-        sims_row, rows, cands, labels, counts, k, fixed
-    )
-    result = _counts_from_scan(reduced, k, n_labels)
+    n_effective, reduced, cert = _reduced_from_sims(dataset, sims_row, k, fixed)
+    result = counts_from_scan(reduced, k, n_labels)
     if cert.scale != 1:
         result = [count * cert.scale for count in result]
     return result, _sims_stats(n_effective, reduced, cert, reduced.n_candidates, False)
 
 
 def pruned_decision_from_sims(
+    dataset: IncompleteDataset,
     sims_row: np.ndarray,
-    rows: np.ndarray,
-    cands: np.ndarray,
-    labels: np.ndarray,
-    counts: np.ndarray,
     k: int,
     n_labels: int,
     fixed: Mapping[int, int] | None = None,
     implementation: str | None = None,
 ) -> tuple[DecisionScan, dict]:
     """Certain-label verdict straight from candidate-order similarities."""
-    n_effective, reduced, cert = _reduced_from_sims(
-        sims_row, rows, cands, labels, counts, k, fixed
-    )
+    n_effective, reduced, cert = _reduced_from_sims(dataset, sims_row, k, fixed)
     decision = decision_winners(reduced, k, n_labels, implementation=implementation)
     return decision, _sims_stats(
         n_effective, reduced, cert, decision.positions_scanned, decision.early_terminated

@@ -7,6 +7,12 @@ faithful Algorithm-1 implementation, the fast incremental engine, the SS-DC
 tree and the CPClean entropy engine all share a single, consistent total
 order.
 
+There is one preparation path: similarities always come from a single
+``kernel.pairwise`` call over the dataset's cached stacked candidate matrix
+(:meth:`~repro.core.dataset.IncompleteDataset.stacked_candidates`), whether
+for one test point or a whole test matrix, and :func:`scan_from_sims` sorts
+a candidate-order similarity row into a :class:`ScanOrder`.
+
 The total order extends the tie-break of :mod:`repro.core.knn`: candidates
 are ranked by ``(similarity, row index desc, candidate index desc)`` in scan
 (ascending) direction, so that among equal similarities the candidate with
@@ -28,19 +34,10 @@ __all__ = [
     "ScanOrder",
     "compute_scan_order",
     "compute_scan_orders",
-    "candidate_similarities",
-    "candidate_index_arrays",
-    "stack_candidates",
+    "scan_from_sims",
+    "similarity_matrix",
+    "sorted_scan",
 ]
-
-
-def candidate_similarities(
-    dataset: IncompleteDataset, t: np.ndarray, kernel: Kernel | str | None = None
-) -> list[np.ndarray]:
-    """Similarity of every candidate to ``t``; entry ``i`` has shape ``(m_i,)``."""
-    kernel = resolve_kernel(kernel)
-    t = check_vector(t, "t", length=dataset.n_features)
-    return [kernel.similarities(dataset.candidates(i), t) for i in range(dataset.n_rows)]
 
 
 @dataclass(frozen=True)
@@ -77,53 +74,26 @@ class ScanOrder:
         return int(self.row_counts.shape[0])
 
 
-def candidate_index_arrays(
-    dataset: IncompleteDataset,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``(rows, cands, counts)`` bookkeeping of the stacked candidate order.
-
-    The index arrays of :func:`stack_candidates` without materialising the
-    stacked feature matrix itself — consumers that receive similarities from
-    elsewhere (a precomputed ``sims_matrix``, a streamed tile) only need to
-    know which stacked position belongs to which (row, candidate) pair.
-    """
-    counts = dataset.candidate_counts()
-    rows = np.repeat(np.arange(dataset.n_rows, dtype=np.int64), counts)
-    cands = np.concatenate([np.arange(int(m), dtype=np.int64) for m in counts])
-    return rows, cands, counts
+def scan_from_sims(dataset: IncompleteDataset, sims: np.ndarray) -> ScanOrder:
+    """Sort one candidate-order similarity row of ``dataset`` into a scan."""
+    _, rows, cands, counts, _ = dataset.stacked_candidates()
+    return sorted_scan(sims, rows, cands, dataset.labels, counts)
 
 
-def stack_candidates(
-    dataset: IncompleteDataset,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten every candidate set into one matrix, in candidate order.
-
-    Returns ``(stacked, rows, cands, counts)`` where ``stacked`` is the
-    ``(P, d)`` matrix of all candidates (rows grouped, candidates in row
-    order), ``rows``/``cands`` give each stacked row's (row index,
-    candidate index) pair, and ``counts`` is the per-row candidate count.
-    This is the shared starting point of per-point and batch scan-order
-    construction.
-    """
-    rows, cands, counts = candidate_index_arrays(dataset)
-    stacked = np.concatenate(
-        [dataset.candidates(i) for i in range(dataset.n_rows)], axis=0
-    )
-    return stacked, rows, cands, counts
-
-
-def _scan_from_sims(
+def sorted_scan(
     sims: np.ndarray,
     rows: np.ndarray,
     cands: np.ndarray,
     labels: np.ndarray,
     counts: np.ndarray,
 ) -> ScanOrder:
-    """Build a :class:`ScanOrder` from candidate-order similarities.
+    """The scan of candidate positions given as parallel arrays.
 
     Ascending similarity; among ties the larger (row, cand) pair comes
     first so the smaller pair is treated as more similar (it sits later in
-    the scan). lexsort uses the last key as the primary key.
+    the scan). lexsort uses the last key as the primary key. The order is
+    total, so sorting any subset of positions yields the subsequence of
+    the full scan — what the pruning and delta layers rely on.
     """
     order = np.lexsort((-cands, -rows, sims))
     return ScanOrder(
@@ -135,6 +105,16 @@ def _scan_from_sims(
     )
 
 
+def similarity_matrix(
+    dataset: IncompleteDataset, test_X: np.ndarray, kernel: Kernel | str | None = None
+) -> np.ndarray:
+    """The ``(T, P)`` candidate-order similarity matrix of ``test_X``.
+
+    One ``kernel.pairwise`` call over the stacked candidate matrix.
+    """
+    return resolve_kernel(kernel).pairwise(dataset.stacked_candidates()[0], test_X)
+
+
 def compute_scan_order(
     dataset: IncompleteDataset, t: np.ndarray, kernel: Kernel | str | None = None
 ) -> ScanOrder:
@@ -143,12 +123,8 @@ def compute_scan_order(
     Cost is ``O(N M log(N M))`` — the sort term in the paper's complexity
     analysis of SS.
     """
-    sims_per_row = candidate_similarities(dataset, t, kernel)
-    counts = dataset.candidate_counts()
-    rows = np.repeat(np.arange(dataset.n_rows, dtype=np.int64), counts)
-    cands = np.concatenate([np.arange(int(m), dtype=np.int64) for m in counts])
-    sims = np.concatenate(sims_per_row)
-    return _scan_from_sims(sims, rows, cands, dataset.labels.copy(), counts)
+    t = check_vector(t, "t", length=dataset.n_features)
+    return scan_from_sims(dataset, similarity_matrix(dataset, t[None, :], kernel)[0])
 
 
 def compute_scan_orders(
@@ -156,24 +132,8 @@ def compute_scan_orders(
     test_X: np.ndarray,
     kernel: Kernel | str | None = None,
 ) -> list[ScanOrder]:
-    """Scan orders for a whole test matrix, with batched similarity computation.
+    """Scan orders for a whole test matrix from one similarity computation.
 
-    Produces exactly the same :class:`ScanOrder` per point as
-    :func:`compute_scan_order` (same similarities, same tie-break), but the
-    similarity matrix is computed in one vectorised
-    :meth:`repro.core.kernels.Kernel.pairwise` call over the stacked
-    candidate matrix instead of ``N`` kernel calls per test point. This is
-    the standalone convenience form of the recipe; the batch engine's
-    ``PreparedBatch`` uses the same underlying pieces
-    (:func:`stack_candidates` + the shared sort) directly because it also
-    keeps the similarity matrix for MinMax checks and row similarities.
+    The same :class:`ScanOrder` per point as :func:`compute_scan_order`.
     """
-    kernel = resolve_kernel(kernel)
-    test_X = np.asarray(test_X, dtype=np.float64)
-    stacked, rows, cands, counts = stack_candidates(dataset)
-    sims_matrix = kernel.pairwise(stacked, test_X)
-    labels = dataset.labels.copy()
-    return [
-        _scan_from_sims(sims_matrix[i], rows, cands, labels, counts)
-        for i in range(test_X.shape[0])
-    ]
+    return [scan_from_sims(dataset, row) for row in similarity_matrix(dataset, test_X, kernel)]

@@ -25,8 +25,8 @@ Exactness
 For a boundary position ``p`` with boundary row ``i`` (label ``y``), the
 engine's support for a tally ``t`` with winner ``w`` is a product of
 polynomial coefficients ``coeff[label][want - forced[label]]`` scaled by
-positive forced-world factors (see ``_counts_from_scan`` in
-:mod:`repro.core.batch_engine`). Every polynomial is a product of linear
+positive forced-world factors (see ``counts_from_scan`` in
+:mod:`repro.core.engine`). Every polynomial is a product of linear
 factors ``(a + b z)`` with ``a >= 1`` and ``b >= 0``, so coefficient ``c``
 is nonzero **iff** ``0 <= c <= #(open factors)`` — no cancellation is
 possible. Support is therefore nonzero iff, for every label ``l``::

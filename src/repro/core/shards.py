@@ -15,8 +15,8 @@ move ProvSQL-style provenance engines make when exact counting must scale:
 * :class:`ShardedExecutor` streams one query family through that grid.
   Per row tile it fills a **shared-memory** similarity buffer candidate
   tile by candidate tile (one bounded ``kernel.pairwise`` call each) and
-  evaluates the tile's points from scans built straight off the buffer
-  rows. With ``n_jobs > 1`` the per-point evaluations run on a
+  evaluates the tile's points straight off the buffer rows. With
+  ``n_jobs > 1`` the per-point evaluations run on a
   **persistent** forked worker pool: the pool is created once per
   execution, the buffer is an anonymous shared mapping
   (``multiprocessing.RawArray``) created before the fork, so every tile
@@ -27,24 +27,20 @@ move ProvSQL-style provenance engines make when exact counting must scale:
   :meth:`ShardedExecutor.tile_batch` wraps a streamed tile in a zero-copy
   :class:`~repro.core.batch_engine.PreparedBatch` (the new
   ``sims_matrix=`` hand-off).
-* Binary certainty checks never build even a tile-wide scan:
-  :meth:`ShardedExecutor.minmax_labels` keeps only per-row min/max
-  similarity tallies (``tile_rows × N``), merged **exactly** across
-  candidate tiles (min-of-mins / max-of-maxes — associative, no
-  floating-point reordering), and decides Q1 from the merged extremes with
-  the very same :func:`~repro.core.knn.top_k_rows` /
-  :func:`~repro.core.knn.majority_label` calls as the reference MinMax
-  path.
 * :class:`ShardedBackend` plugs the executor into the planner registry
   under the name ``"sharded"``, serving **all five task flavors** and all
-  three kinds. Its cost model prefers tiled execution once the dense
-  similarity matrix would exceed ``memory_budget_bytes``, and defers to
-  the ``batch`` backend below that threshold.
+  three kinds through the planner's per-point dispatch table
+  (:data:`repro.core.planner.POINT_FUNCTIONS`). Its cost model prefers
+  tiled execution once the dense similarity matrix would exceed
+  ``memory_budget_bytes``, and defers to the ``batch`` backend below that
+  threshold.
+* :func:`merge_minmax_block` / :func:`binary_minmax_label` are the exact
+  min/max tally-merge algebra the partitioned service gateway uses to
+  decide binary certainty from per-row extremes merged across processes.
 
 Memory model: the resident similarity state is one ``tile_rows × P``
-buffer (counting needs a point's full candidate row to sort its scan) plus
-the ``tile_rows × tile_candidates`` kernel block being filled; the MinMax
-path is bounded by ``tile_rows × N`` tallies and the kernel block only.
+buffer (a point's table function reads its full candidate row) plus the
+``tile_rows × tile_candidates`` kernel block being filled.
 Tiling is a layout decision, never a semantic one: every value is
 bit-identical to the sequential reference for any ``tile_rows``,
 ``tile_candidates`` and ``n_jobs`` (``tests/core/test_shards.py`` and the
@@ -57,7 +53,7 @@ from __future__ import annotations
 import multiprocessing
 import sys
 import threading
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import Any
 
@@ -66,43 +62,20 @@ import numpy as np
 from repro.core.batch_engine import (
     PreparedBatch,
     QueryResultCache,
-    _counts_from_scan,
-    kernel_cache_key,
     resolve_n_jobs,
 )
 from repro.core.dataset import IncompleteDataset
 from repro.core.kernels import Kernel, resolve_kernel
-from repro.core.knn import majority_label, top_k_rows
-from repro.core.label_uncertainty import label_uncertain_counts
+from repro.core.minmax import extreme_winners
 from repro.core.planner import (
     FLAVORS,
     KINDS,
     Backend,
     BackendCapabilities,
-    CPQuery,
     ExecutionOptions,
-    _conditioned_weights,
-    _counts_to_kind,
-    _point_key,
-    _prune_enabled,
-    _restricted_dataset,
-    _scan_kernel_arg,
-    _weighted_to_kind,
-    _weights_key,
+    _execute_points,
     register_backend,
 )
-from repro.core.pruning import (
-    accumulate_prune_stats,
-    empty_prune_stats,
-    pruned_counts_from_scan,
-    pruned_decision_from_scan,
-    pruned_label_uncertain_counts,
-    pruned_topk_counts_from_scan,
-    pruned_weighted_probabilities,
-)
-from repro.core.scan import ScanOrder, _scan_from_sims, stack_candidates
-from repro.core.topk_prob import topk_inclusion_counts
-from repro.core.weighted import weighted_prediction_probabilities
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = [
@@ -265,16 +238,10 @@ def binary_minmax_label(
 
     ``lo`` / ``hi`` are the per-row min/max similarities (pins already
     applied as ``lo == hi == pinned similarity``). Binary label spaces
-    only; uses the very same :func:`~repro.core.knn.top_k_rows` /
-    :func:`~repro.core.knn.majority_label` calls as the reference MinMax
-    path, so the verdict is bit-identical to it.
+    only; the decision is :func:`~repro.core.minmax.extreme_winners`, the
+    one MinMax check, so the verdict is bit-identical to every backend's.
     """
-    winners = []
-    for target in range(2):
-        extremes = np.where(labels == target, hi, lo)
-        top = top_k_rows(extremes, k)
-        if majority_label(labels[top], tally_size=2) == target:
-            winners.append(target)
+    winners = extreme_winners(lo, hi, labels, k, 2)
     return winners[0] if len(winners) == 1 else None
 
 
@@ -295,27 +262,8 @@ _SHARD_LOCK = threading.Lock()
 def _shard_point_worker(task: tuple[int, int]) -> tuple[int, Any]:
     """Pool worker: evaluate one test point from the shared tile buffer."""
     global_index, buffer_row = task
-    return global_index, _SHARD_STATE.run_point(global_index, buffer_row)
-
-
-class _ShardContext:
-    """What a pooled run shares with its workers (by fork, never pickled)."""
-
-    __slots__ = ("buffer", "rows", "cands", "labels", "counts", "evaluate")
-
-    def __init__(self, buffer, rows, cands, labels, counts, evaluate) -> None:
-        self.buffer = buffer
-        self.rows = rows
-        self.cands = cands
-        self.labels = labels
-        self.counts = counts
-        self.evaluate = evaluate
-
-    def run_point(self, global_index: int, buffer_row: int) -> Any:
-        scan = _scan_from_sims(
-            self.buffer[buffer_row], self.rows, self.cands, self.labels, self.counts
-        )
-        return self.evaluate(scan, global_index)
+    buffer, evaluate = _SHARD_STATE
+    return global_index, evaluate(global_index, buffer[buffer_row])
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +275,8 @@ class ShardedExecutor:
     """Streams one ``(dataset, test matrix, k, kernel)`` family tile by tile.
 
     The executor owns the tile grid and the streaming loops; what to do
-    with each point is injected (``evaluate(scan, index)`` for scan-based
-    evaluation, or the built-in exact min/max merge for binary certainty).
+    with each point is injected as ``evaluate(index, sims)`` over the
+    point's candidate-order similarity row.
     Only the requested point indices are evaluated and only their row tiles
     are streamed — a fully cached tile costs nothing.
     """
@@ -351,16 +299,10 @@ class ShardedExecutor:
             )
         self.kernel = resolve_kernel(kernel)
         self.test_X = check_matrix(test_X, "test_X", n_cols=dataset.n_features)
-        stacked, rows, cands, counts = stack_candidates(dataset)
-        self._stacked = stacked
-        self._rows = rows
-        self._cands = cands
-        self._counts = counts
-        self._offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
-        self._labels = dataset.labels.copy()
+        self._stacked = dataset.stacked_candidates()[0]
         self.plan = plan_tiles(
             int(self.test_X.shape[0]),
-            int(rows.shape[0]),
+            int(self._stacked.shape[0]),
             tile_rows=tile_rows,
             tile_candidates=tile_candidates,
         )
@@ -401,18 +343,17 @@ class ShardedExecutor:
     # ------------------------------------------------------------------
     def map_points(
         self,
-        evaluate: Callable[[ScanOrder, int], Any],
+        evaluate: Callable[[int, np.ndarray], Any],
         indices: Iterable[int],
     ) -> dict[int, Any]:
-        """``evaluate(scan, index)`` for each requested point, tile-streamed.
+        """``evaluate(index, sims)`` for each requested point, tile-streamed.
 
-        The scan order handed to ``evaluate`` is bit-identical to
-        ``compute_scan_order(dataset, test_X[index], kernel)`` — same
-        similarities (candidate tiling never splits the per-element feature
-        reduction), same tie-break. With ``n_jobs > 1`` on a platform that
-        can fork, evaluations run on a persistent worker pool reading the
-        shared tile buffer; otherwise in process, building the identical
-        scans off a private buffer. Results are identical either way.
+        The similarity row handed to ``evaluate`` is bit-identical to the
+        point's row of a dense one-call similarity matrix (candidate tiling
+        never splits the per-element feature reduction). With
+        ``n_jobs > 1`` on a platform that can fork, evaluations run on a
+        persistent worker pool reading the shared tile buffer; otherwise in
+        process, off a private buffer. Results are identical either way.
         """
         tiles = self._tiles_with(indices)
         if not tiles:
@@ -435,12 +376,7 @@ class ShardedExecutor:
             view = buffer[: r1 - r0]
             self._fill_tile(view, r0, r1)
             for index in members:
-                # The same scan construction the pooled workers use — one
-                # code path, zero copies off the buffer row.
-                scan = _scan_from_sims(
-                    view[index - r0], self._rows, self._cands, self._labels, self._counts
-                )
-                results[index] = evaluate(scan, index)
+                results[index] = evaluate(index, view[index - r0])
             self.n_tiles_streamed += 1
         return results
 
@@ -479,9 +415,7 @@ class ShardedExecutor:
             buffer = np.frombuffer(raw, dtype=np.float64).reshape(
                 self.plan.tile_rows, self.plan.n_candidates
             )
-            _SHARD_STATE = _ShardContext(
-                buffer, self._rows, self._cands, self._labels, self._counts, evaluate
-            )
+            _SHARD_STATE = (buffer, evaluate)
             context = multiprocessing.get_context("fork")
             n_workers = min(self.n_jobs, n_missing)
             pool = context.Pool(processes=n_workers)
@@ -503,82 +437,20 @@ class ShardedExecutor:
                 _SHARD_STATE = None
         return results
 
-    # ------------------------------------------------------------------
-    def minmax_labels(
-        self, pins: Mapping[int, int], indices: Iterable[int]
-    ) -> dict[int, int | None]:
-        """The CP'ed label (or ``None``) per point via exact min/max merging.
-
-        Binary label spaces only. Per candidate tile the per-row extreme
-        similarities are tallied with ``reduceat`` over the block's (possibly
-        partial) row segments and merged into running ``tile_rows × N``
-        min/max tallies — an exact merge, since min and max are associative.
-        The merged extremes feed the same top-K/majority decision as
-        :meth:`PreparedQuery.certain_label_minmax`, so labels are
-        bit-identical to the reference. The full ``P``-wide similarity row
-        is never materialised.
-        """
-        if self.dataset.n_labels != 2:
-            raise ValueError("minmax_labels requires a binary label space")
-        counts = self._counts
-        pin_items = sorted(dict(pins).items())
-        for row, cand in pin_items:
-            if not 0 <= row < self.dataset.n_rows:
-                raise IndexError(
-                    f"pinned row {row} out of range for {self.dataset.n_rows} rows"
-                )
-            if not 0 <= cand < int(counts[row]):
-                raise IndexError(
-                    f"pinned candidate {cand} out of range for row {row} "
-                    f"with {int(counts[row])} candidates"
-                )
-        pin_positions = [int(self._offsets[row]) + cand for row, cand in pin_items]
-        labels = self._labels
-        n_rows = self.dataset.n_rows
-        results: dict[int, int | None] = {}
-        for (r0, r1), members in self._tiles_with(indices):
-            height = r1 - r0
-            mins = np.full((height, n_rows), np.inf)
-            maxs = np.full((height, n_rows), -np.inf)
-            pinned_sims = np.empty((height, len(pin_items)))
-            for c0, c1 in self.plan.candidate_tiles:
-                block = self.kernel.pairwise(
-                    self._stacked[c0:c1], self.test_X[r0:r1]
-                )
-                merge_minmax_block(
-                    mins, maxs, block, self._rows, self._offsets, c0, c1
-                )
-                for slot, position in enumerate(pin_positions):
-                    if c0 <= position < c1:
-                        pinned_sims[:, slot] = block[:, position - c0]
-            for index in members:
-                local = index - r0
-                lo, hi = mins[local], maxs[local]
-                for slot, (row, _) in enumerate(pin_items):
-                    lo[row] = hi[row] = pinned_sims[local, slot]
-                results[index] = binary_minmax_label(lo, hi, labels, self.k)
-            self.n_tiles_streamed += 1
-        return results
-
 
 # ---------------------------------------------------------------------------
 # The planner backend
 # ---------------------------------------------------------------------------
 
-_MISS = object()
-
-
 class ShardedBackend(Backend):
     """Tile-streaming out-of-core execution behind the registry name ``sharded``.
 
-    Serves all five task flavors and all three kinds with results
-    bit-identical to the sequential reference. Counting and the
-    weighted/top-k/label-uncertain flavors evaluate per-point scans built
-    from the streamed tile buffer (pooled across ``n_jobs`` workers);
-    binary certainty checks use the exact per-tile min/max merge and touch
-    no scan at all. Results are cached per point in a fingerprint-keyed
-    LRU, so a cleaning session's repeated queries skip their tiles
-    entirely.
+    Serves all five task flavors and all three kinds through the planner's
+    per-point dispatch table, with results bit-identical to every other
+    backend. Each point's table function reads its similarity row straight
+    off the streamed tile buffer (pooled across ``n_jobs`` workers).
+    Results are cached per point in a fingerprint-keyed LRU, so a cleaning
+    session's repeated queries skip their tiles entirely.
 
     ``tile_rows`` / ``tile_candidates`` are defaults a query can override
     through :class:`ExecutionOptions`; ``memory_budget_bytes`` is the
@@ -609,8 +481,6 @@ class ShardedBackend(Backend):
             memory_budget_bytes, "memory_budget_bytes"
         )
         self.cache = QueryResultCache(maxsize=cache_size)
-        #: Stats of the most recent execution (observability; see benchmarks).
-        self.last_stats: dict[str, Any] | None = None
 
     # ------------------------------------------------------------------
     def _tiling(self, options: ExecutionOptions) -> tuple[int, int]:
@@ -646,136 +516,11 @@ class ShardedBackend(Backend):
     def execute(self, query, options=None):
         options = options or ExecutionOptions()
         tile_rows, tile_candidates = self._tiling(options)
-        prune = _prune_enabled(query, options)
-        totals = empty_prune_stats() if prune else None
-        flavor = query.flavor
-        if flavor in ("binary", "multiclass"):
-            values, scan_dataset, lazy = self._execute_counting(
-                query, options, tile_rows, tile_candidates, prune, totals
-            )
-        elif flavor == "weighted":
-            values, scan_dataset, lazy = self._execute_weighted(
-                query, options, tile_rows, tile_candidates, prune, totals
-            )
-        elif flavor == "topk":
-            values, scan_dataset, lazy = self._execute_topk(
-                query, options, tile_rows, tile_candidates, prune, totals
-            )
-        else:
-            values, scan_dataset, lazy = self._execute_label_uncertain(
-                query, options, tile_rows, tile_candidates, prune, totals
-            )
-        if lazy.executor is not None:
-            plan = lazy.executor.plan
-            n_tiles_streamed = lazy.executor.n_tiles_streamed
-        else:
-            # Every point was cache-served: no executor was built (and no
-            # candidates stacked); derive the grid for the stats directly.
-            plan = plan_tiles(
-                query.n_points,
-                int(np.sum(scan_dataset.candidate_counts())),
-                tile_rows=tile_rows,
-                tile_candidates=tile_candidates,
-            )
-            n_tiles_streamed = 0
-        self.last_stats = {
-            "flavor": query.flavor,
-            "kind": query.kind,
-            "n_points": plan.n_points,
-            "n_candidates": plan.n_candidates,
-            "tile_rows": plan.tile_rows,
-            "tile_candidates": plan.tile_candidates,
-            "n_row_tiles": plan.n_row_tiles,
-            "n_candidate_tiles": plan.n_candidate_tiles,
-            "n_tiles_streamed": n_tiles_streamed,
-            "tile_buffer_bytes": plan.tile_buffer_bytes,
-            "dense_bytes": plan.dense_bytes,
-            "prune": prune,
-        }
-        if totals:
-            self.last_stats.update(totals)
-        return values
+        streamed: list[ShardedExecutor] = []
 
-    @staticmethod
-    def _strip_stats(
-        mapping: Mapping[int, tuple[Any, dict]], totals: dict | None
-    ) -> dict[int, Any]:
-        """Split pruned ``(value, stats)`` results: fold stats, keep values.
-
-        Keeps the cache layer stats-free, so pruned and unpruned runs share
-        entries (their values are bit-identical).
-        """
-        out: dict[int, Any] = {}
-        for index, (value, stats) in mapping.items():
-            if totals is not None:
-                accumulate_prune_stats(totals, stats)
-            out[index] = value
-        return out
-
-    # ------------------------------------------------------------------
-    def _cached_points(
-        self,
-        query: CPQuery,
-        options: ExecutionOptions,
-        tag: str,
-        fingerprint: str,
-        extra_key: tuple,
-        compute: Callable[[list[int]], Mapping[int, Any]],
-    ) -> list:
-        """Serve per-point values from cache; stream only the missing tiles."""
-        cache = self._resolve_cache(options)
-        kernel_key = kernel_cache_key(query.kernel)
-        n = query.n_points
-        results: list = [None] * n
-        keys: list[tuple | None] = [None] * n
-        missing: list[int] = []
-        for index in range(n):
-            if cache is not None:
-                keys[index] = (
-                    tag,
-                    fingerprint,
-                    _point_key(query.test_X[index]),
-                    query.k,
-                    kernel_key,
-                    extra_key,
-                )
-                hit = cache.get(keys[index], _MISS)
-                if hit is not _MISS:
-                    results[index] = list(hit) if isinstance(hit, list) else hit
-                    continue
-            missing.append(index)
-        if missing:
-            for index, value in compute(missing).items():
-                results[index] = value
-                if cache is not None:
-                    cache.put(
-                        keys[index], list(value) if isinstance(value, list) else value
-                    )
-        return results
-
-    class _LazyExecutor:
-        """Builds the (stacking-heavy) executor only if a point misses the cache."""
-
-        def __init__(self, factory: Callable[[], "ShardedExecutor"]) -> None:
-            self._factory = factory
-            self.executor: ShardedExecutor | None = None
-
-        def __call__(self) -> "ShardedExecutor":
-            if self.executor is None:
-                self.executor = self._factory()
-            return self.executor
-
-    def _lazy_executor(
-        self,
-        dataset: IncompleteDataset,
-        query: CPQuery,
-        options: ExecutionOptions,
-        tile_rows: int,
-        tile_candidates: int,
-    ) -> "ShardedBackend._LazyExecutor":
-        return self._LazyExecutor(
-            lambda: ShardedExecutor(
-                dataset,
+        def evaluate(task, fn, missing):
+            executor = ShardedExecutor(
+                task.dataset,
                 query.test_X,
                 k=query.k,
                 kernel=query.kernel,
@@ -783,202 +528,35 @@ class ShardedBackend(Backend):
                 tile_candidates=tile_candidates,
                 n_jobs=options.n_jobs,
             )
-        )
+            streamed.append(executor)
+            return executor.map_points(
+                lambda index, sims: fn(task, index, sims), missing
+            )
 
-    # ------------------------------------------------------------------
-    def _execute_counting(
-        self, query, options, tile_rows, tile_candidates, prune, totals
-    ):
-        fixed = query.pins_dict()
-        fixed_key = tuple(sorted(fixed.items()))
-        lazy = self._lazy_executor(
-            query.dataset, query, options, tile_rows, tile_candidates
+        task, values, stats = _execute_points(
+            query, options, self._resolve_cache(options), evaluate
         )
-        if query.kind in ("certain_label", "check") and query.dataset.n_labels == 2:
-            # The MM shortcut: exact Q1 from merged min/max tallies alone.
-            # Pruning never enters — no scan is built to prune.
-            labels = self._cached_points(
-                query,
-                options,
-                tag="sh-mm",
-                fingerprint=query.fingerprint(),
-                extra_key=fixed_key,
-                compute=lambda missing: lazy().minmax_labels(fixed, missing),
-            )
-            if query.kind == "certain_label":
-                return labels, query.dataset, lazy
-            return [label == query.label for label in labels], query.dataset, lazy
-
-        n_labels = query.dataset.n_labels
-        if prune and query.kind in ("certain_label", "check"):
-            # Multiclass decisions (binary took the MM branch): the pruned
-            # early-terminating decision kernel, cached under its own tag —
-            # the verdict carries less information than the counts.
-            implementation = _scan_kernel_arg(options)
-
-            def _decide(scan: ScanOrder, index: int) -> tuple[int | None, dict]:
-                decision, stats = pruned_decision_from_scan(
-                    scan, query.k, n_labels, fixed, implementation=implementation
-                )
-                return decision.certain_label, stats
-
-            labels = self._cached_points(
-                query,
-                options,
-                tag="sh-q2d",
-                fingerprint=query.fingerprint(),
-                extra_key=fixed_key,
-                compute=lambda missing: self._strip_stats(
-                    lazy().map_points(_decide, missing), totals
-                ),
-            )
-            if query.kind == "certain_label":
-                return labels, query.dataset, lazy
-            return [label == query.label for label in labels], query.dataset, lazy
-
-        if prune:
-            compute = lambda missing: self._strip_stats(
-                lazy().map_points(
-                    lambda scan, index: pruned_counts_from_scan(
-                        scan, query.k, n_labels, fixed
-                    ),
-                    missing,
-                ),
-                totals,
-            )
-        else:
-            compute = lambda missing: lazy().map_points(
-                lambda scan, index: _counts_from_scan(scan, query.k, n_labels, fixed),
-                missing,
-            )
-        counts = self._cached_points(
-            query,
-            options,
-            tag="sh-q2",
-            fingerprint=query.fingerprint(),
-            extra_key=fixed_key,
-            compute=compute,
+        # Every point may have been cache-served, with no executor built
+        # (and no candidates stacked): derive the grid for the stats directly.
+        plan = plan_tiles(
+            query.n_points,
+            int(np.sum(task.dataset.candidate_counts())),
+            tile_rows=tile_rows,
+            tile_candidates=tile_candidates,
         )
-        return _counts_to_kind(query, counts), query.dataset, lazy
-
-    def _execute_weighted(
-        self, query, options, tile_rows, tile_candidates, prune, totals
-    ):
-        weights = _conditioned_weights(query)
-        dataset = query.dataset
-        lazy = self._lazy_executor(dataset, query, options, tile_rows, tile_candidates)
-        if prune:
-            compute = lambda missing: self._strip_stats(
-                lazy().map_points(
-                    lambda scan, index: pruned_weighted_probabilities(
-                        dataset,
-                        query.test_X[index],
-                        weights,
-                        query.k,
-                        kernel=query.kernel,
-                        scan=scan,
-                    ),
-                    missing,
-                ),
-                totals,
-            )
-        else:
-            compute = lambda missing: lazy().map_points(
-                lambda scan, index: weighted_prediction_probabilities(
-                    dataset,
-                    query.test_X[index],
-                    k=query.k,
-                    weights=weights,
-                    kernel=query.kernel,
-                    scan=scan,
-                ),
-                missing,
-            )
-        probs = self._cached_points(
-            query,
-            options,
-            tag="sh-wt",
-            fingerprint=query.fingerprint(),
-            extra_key=(_weights_key(weights),),
-            compute=compute,
+        tiling = dict(
+            n_points=plan.n_points,
+            n_candidates=plan.n_candidates,
+            tile_rows=plan.tile_rows,
+            tile_candidates=plan.tile_candidates,
+            n_row_tiles=plan.n_row_tiles,
+            n_candidate_tiles=plan.n_candidate_tiles,
+            n_tiles_streamed=sum(e.n_tiles_streamed for e in streamed),
+            tile_buffer_bytes=plan.tile_buffer_bytes,
+            dense_bytes=plan.dense_bytes,
         )
-        return _weighted_to_kind(query, probs), dataset, lazy
-
-    def _execute_topk(self, query, options, tile_rows, tile_candidates, prune, totals):
-        restricted = _restricted_dataset(query)
-        lazy = self._lazy_executor(
-            restricted, query, options, tile_rows, tile_candidates
-        )
-        if prune:
-            compute = lambda missing: self._strip_stats(
-                lazy().map_points(
-                    lambda scan, index: pruned_topk_counts_from_scan(scan, query.k),
-                    missing,
-                ),
-                totals,
-            )
-        else:
-            compute = lambda missing: lazy().map_points(
-                lambda scan, index: topk_inclusion_counts(
-                    restricted,
-                    query.test_X[index],
-                    k=query.k,
-                    kernel=query.kernel,
-                    scan=scan,
-                ),
-                missing,
-            )
-        values = self._cached_points(
-            query,
-            options,
-            tag="sh-topk",
-            fingerprint=restricted.fingerprint(),
-            extra_key=(),
-            compute=compute,
-        )
-        return values, restricted, lazy
-
-    def _execute_label_uncertain(
-        self, query, options, tile_rows, tile_candidates, prune, totals
-    ):
-        restricted = _restricted_dataset(query)
-        lazy = self._lazy_executor(
-            restricted.feature_dataset, query, options, tile_rows, tile_candidates
-        )
-        if prune:
-            compute = lambda missing: self._strip_stats(
-                lazy().map_points(
-                    lambda scan, index: pruned_label_uncertain_counts(
-                        restricted,
-                        query.test_X[index],
-                        k=query.k,
-                        kernel=query.kernel,
-                        scan=scan,
-                    ),
-                    missing,
-                ),
-                totals,
-            )
-        else:
-            compute = lambda missing: lazy().map_points(
-                lambda scan, index: label_uncertain_counts(
-                    restricted,
-                    query.test_X[index],
-                    k=query.k,
-                    kernel=query.kernel,
-                    scan=scan,
-                ),
-                missing,
-            )
-        counts = self._cached_points(
-            query,
-            options,
-            tag="sh-lu",
-            fingerprint=restricted.fingerprint(),
-            extra_key=(),
-            compute=compute,
-        )
-        return _counts_to_kind(query, counts), restricted.feature_dataset, lazy
+        # The prune counters (with their own per-point n_points) win.
+        return values, {**tiling, **stats}
 
 
 register_backend(ShardedBackend())

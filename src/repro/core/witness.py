@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.dataset import IncompleteDataset
 from repro.core.kernels import Kernel, resolve_kernel
 from repro.core.knn import majority_label, top_k_rows
+from repro.core.scan import similarity_matrix
 from repro.core.worlds import iter_world_choices
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive_int, check_vector
@@ -93,7 +94,10 @@ def find_witness(
     t = check_vector(t, "t", length=dataset.n_features)
     n_labels = dataset.n_labels
     labels = dataset.labels
-    sims = [kernel.similarities(dataset.candidates(i), t) for i in range(dataset.n_rows)]
+    sims = np.split(
+        similarity_matrix(dataset, t[None, :], kernel)[0],
+        dataset.stacked_candidates()[4][1:-1],
+    )
 
     # Seed worlds: each label's extreme world (exact for binary labels).
     seen: dict[int, tuple[int, ...]] = {}

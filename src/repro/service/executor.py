@@ -110,9 +110,9 @@ class ExecutorPartition:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-row min/max similarity tallies for this partition's rows.
 
-        Exactly the fold :meth:`repro.core.shards.ShardedExecutor.minmax_labels`
-        performs, restricted to this partition: bounded kernel blocks, the
-        associative merge, pins applied as ``lo == hi``. The returned
+        The :func:`repro.core.shards.merge_minmax_block` fold over this
+        partition's rows: bounded kernel blocks, the associative merge,
+        pins applied as ``lo == hi``. The returned
         ``(n_points, n_rows)`` pair is ready for the gateway's
         concatenation merge.
         """

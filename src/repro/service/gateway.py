@@ -44,7 +44,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.batch_engine import _counts_from_scan
+from repro.core.engine import counts_from_scan
 from repro.core.label_uncertainty import label_uncertain_counts
 from repro.core.planner import (
     CPQuery,
@@ -55,7 +55,7 @@ from repro.core.planner import (
     _restricted_dataset,
     _weighted_to_kind,
 )
-from repro.core.scan import _scan_from_sims, candidate_index_arrays
+from repro.core.scan import scan_from_sims
 from repro.core.shards import binary_minmax_label
 from repro.core.topk_prob import topk_inclusion_counts
 from repro.core.weighted import weighted_prediction_probabilities
@@ -685,21 +685,19 @@ class Gateway:
                 {"test_X": query.test_X, "kernel": query.kernel, "restrict": restrict},
             )
         )
-        rows, cands, counts = candidate_index_arrays(scan_dataset)
-        if sims.shape[1] != rows.shape[0]:
+        n_candidates = scan_dataset.stacked_candidates()[1].shape[0]
+        if sims.shape[1] != n_candidates:
             raise GatewayError(
                 f"merged similarity blocks cover {sims.shape[1]} candidates, "
-                f"the scan layout expects {rows.shape[0]}"
+                f"the scan layout expects {n_candidates}"
             )
-        labels = scan_dataset.labels
         scans = (
-            _scan_from_sims(sims[index], rows, cands, labels, counts)
-            for index in range(query.n_points)
+            scan_from_sims(scan_dataset, sims[index]) for index in range(query.n_points)
         )
         if flavor in ("binary", "multiclass"):
             n_labels = query.dataset.n_labels
             per_point = [
-                _counts_from_scan(scan, query.k, n_labels, pins) for scan in scans
+                counts_from_scan(scan, query.k, n_labels, pins) for scan in scans
             ]
             return _counts_to_kind(query, per_point)
         if flavor == "weighted":

@@ -20,6 +20,7 @@ The seeded case generators live in :mod:`fuzz.cp_cases`
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from fuzz.cp_cases import BACKENDS, SEEDS, TILE_CONFIGS, random_case
@@ -79,12 +80,20 @@ class TestDifferentialMatrix:
         """The seed range must actually exercise the whole query space."""
         flavors = set()
         kinds = set()
+        kernels = set()
         pinned = 0
+        repeated = 0
         for seed in SEEDS:
             query, _, _ = random_case(seed)
             flavors.add(query.flavor)
             kinds.add(query.kind)
+            kernels.add(type(query.kernel).__name__)
             pinned += bool(query.pins)
+            dataset = getattr(query.dataset, "feature_dataset", query.dataset)
+            stacked = dataset.stacked_candidates()[0]
+            repeated += len(np.unique(stacked, axis=0)) < len(stacked)
         assert flavors == {"binary", "multiclass", "weighted", "topk", "label_uncertainty"}
         assert kinds == {"counts", "certain_label", "check"}
+        assert kernels == {"NegativeEuclideanKernel", "RBFKernel", "LinearKernel", "CosineKernel"}
         assert pinned >= 5, "too few generated cases carry pins"
+        assert repeated >= 10, "too few generated cases repeat a candidate vector"

@@ -178,7 +178,7 @@ class TestResultCache:
         assert clone.fingerprint() == dataset.fingerprint()
 
     def test_default_repr_kernels_never_alias_cache_entries(self):
-        from repro.core.batch_engine import _kernel_cache_key
+        from repro.core.batch_engine import kernel_cache_key
         from repro.core.kernels import Kernel, RBFKernel
 
         class OpaqueKernel(Kernel):  # keeps object.__repr__
@@ -186,10 +186,11 @@ class TestResultCache:
                 raise NotImplementedError
 
         a, b = OpaqueKernel(), OpaqueKernel()
-        assert _kernel_cache_key(a) != _kernel_cache_key(b)
+        assert kernel_cache_key(a) != kernel_cache_key(b)
+        assert kernel_cache_key(a) == kernel_cache_key(a)  # stable per instance
         # Value-based reprs intentionally share keys across equal instances.
-        assert _kernel_cache_key(RBFKernel(2.0)) == _kernel_cache_key(RBFKernel(2.0))
-        assert _kernel_cache_key(RBFKernel(2.0)) != _kernel_cache_key(RBFKernel(3.0))
+        assert kernel_cache_key(RBFKernel(2.0)) == kernel_cache_key(RBFKernel(2.0))
+        assert kernel_cache_key(RBFKernel(2.0)) != kernel_cache_key(RBFKernel(3.0))
 
         class TweakedRBF(RBFKernel):  # inherits the parent's __repr__
             def similarities(self, candidates, t):  # pragma: no cover
@@ -197,7 +198,7 @@ class TestResultCache:
 
         # A subclass may compute different similarities, so an inherited
         # parameterised repr must not alias the parent's cache entries.
-        assert _kernel_cache_key(TweakedRBF(2.0)) != _kernel_cache_key(RBFKernel(2.0))
+        assert kernel_cache_key(TweakedRBF(2.0)) != kernel_cache_key(RBFKernel(2.0))
 
     def test_lru_eviction_bounds_size(self):
         cache = QueryResultCache(maxsize=2)

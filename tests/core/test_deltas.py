@@ -18,9 +18,8 @@ from repro.core.deltas import (
     RowAppend,
     RowDelete,
     apply_delta_to_dataset,
-    dominating_rows,
-    row_is_irrelevant,
 )
+from repro.core.pruning import dominated_mask, prune_mask
 from repro.core.queries import q2_counts
 
 
@@ -61,17 +60,24 @@ class TestDeltaVocabulary:
 
 class TestIrrelevanceRule:
     def test_dominating_rows_counts_strictly_greater_mins(self):
-        mins = np.array([0.9, 0.5, 0.3, 0.5])
-        assert dominating_rows(mins, 0.5) == 1  # ties do not dominate
-        assert dominating_rows(mins, 0.2) == 4
-        assert dominating_rows(mins, 0.9) == 0
+        mins = np.array([[0.9, 0.5, 0.3, 0.5]])
+
+        def n_dominating(best: float) -> int:
+            return sum(
+                bool(dominated_mask(mins, np.array([best]), k)[0]) for k in range(1, 6)
+            )
+
+        assert n_dominating(0.5) == 1  # ties do not dominate
+        assert n_dominating(0.2) == 4
+        assert n_dominating(0.9) == 0
 
     def test_row_is_irrelevant_excludes_the_row_itself(self):
-        # Row 0's own min beats `best`, but it cannot dominate itself.
-        mins = np.array([0.9, 0.8, 0.1])
-        assert not row_is_irrelevant(mins, row=0, best=0.7, k=2)
+        # Row 0's own min ties its best, but a row never dominates itself.
+        mins = np.array([0.7, 0.8, 0.1])
+        maxs = np.array([0.7, 0.9, 0.5])
+        assert not prune_mask(mins, maxs, k=2)[0]
         # With k=1 the single other dominator (row 1) suffices.
-        assert row_is_irrelevant(mins, row=0, best=0.7, k=1)
+        assert prune_mask(mins, maxs, k=1)[0]
 
     def test_irrelevant_row_never_in_provenance(self):
         dataset = small_dataset()

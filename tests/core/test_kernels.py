@@ -104,3 +104,35 @@ class TestResolver:
     def test_bad_type(self):
         with pytest.raises(TypeError):
             resolve_kernel(42)
+
+
+class TestPositionIndependence:
+    """A candidate's similarity must not depend on where it sits.
+
+    Imputed candidate sets repeat the same vector across rows; if a kernel
+    gave a repeated vector different bits at different matrix positions,
+    per-row and stacked preparation would sort ties differently and the
+    backends would return different exact counts.
+    """
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [NegativeEuclideanKernel(), RBFKernel(0.5), LinearKernel(), CosineKernel()],
+        ids=repr,
+    )
+    def test_repeated_vector_gets_identical_similarities(self, kernel):
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            d = int(rng.integers(2, 40))
+            candidates = rng.normal(size=(int(rng.integers(8, 80)), d))
+            vector = rng.normal(size=d)
+            positions = rng.choice(candidates.shape[0], size=5, replace=False)
+            candidates[positions] = vector
+            test_X = rng.normal(size=(3, d))
+            pairwise = kernel.pairwise(candidates, test_X)
+            for i, t in enumerate(test_X):
+                alone = kernel.similarities(vector[None, :], t)[0]
+                row = kernel.similarities(candidates, t)
+                assert np.all(row[positions] == alone)
+                assert np.all(pairwise[i, positions] == alone)
+                assert np.array_equal(pairwise[i], row)

@@ -16,9 +16,9 @@ from tests.conftest import random_incomplete_dataset
 
 class TestExtremeWorlds:
     def test_target_rows_use_max_similarity(self):
-        sims = [np.array([0.1, 0.9]), np.array([0.5, 0.2])]
+        mins, maxs = np.array([0.1, 0.2]), np.array([0.9, 0.5])
         labels = np.array([0, 1])
-        extreme = extreme_world_similarities(sims, labels, target_label=0)
+        extreme = extreme_world_similarities(mins, maxs, labels, target_label=0)
         assert extreme[0] == 0.9  # label 0 row: max
         assert extreme[1] == 0.2  # other row: min
 
@@ -27,16 +27,18 @@ class TestExtremeWorlds:
         rng = np.random.default_rng(0)
         from repro.core.kernels import NegativeEuclideanKernel
         from repro.core.knn import majority_label, top_k_rows
-        from repro.core.scan import candidate_similarities
+        from repro.core.minmax import row_extremes
+        from repro.core.scan import similarity_matrix
         from repro.core.worlds import iter_worlds
 
         kernel = NegativeEuclideanKernel()
         for _ in range(10):
             dataset = random_incomplete_dataset(rng, n_labels=2)
             t = rng.normal(size=dataset.n_features)
-            sims = candidate_similarities(dataset, t, kernel)
+            sims = similarity_matrix(dataset, t[None, :], kernel)[0]
+            mins, maxs = row_extremes(sims, dataset.stacked_candidates()[4])
             for target in (0, 1):
-                extreme = extreme_world_similarities(sims, dataset.labels, target)
+                extreme = extreme_world_similarities(mins, maxs, dataset.labels, target)
                 extreme_predicts = (
                     majority_label(dataset.labels[top_k_rows(extreme, 1)], 2) == target
                 )

@@ -88,7 +88,7 @@ class TestRegistry:
                 return float("inf"), "never picked automatically"
 
             def execute(self, query, options=None):
-                return [None] * query.n_points
+                return [None] * query.n_points, {}
 
         try:
             register_backend(NullBackend())
@@ -345,7 +345,7 @@ class TestEquivalenceMatrix:
         for row in dataset.uncertain_rows():
             pins[row] = 0
             query = make_query(dataset, test_X, kind="counts", k=2, pins=pins)
-            incremental = backend.execute(query)
+            incremental, _ = backend.execute(query)
             sequential = execute_query(query, backend="sequential").values
             assert incremental == sequential
         assert backend.n_rebuilds == 1
@@ -360,9 +360,9 @@ class TestCachingAndOptions:
         dataset = random_dataset(31)
         test_X = np.random.default_rng(31).normal(size=(4, 2))
         query = make_query(dataset, test_X, kind="counts", k=2)
-        first = backend.execute(query, ExecutionOptions(cache=True))
+        first, _ = backend.execute(query, ExecutionOptions(cache=True))
         hits_before = backend.cache.hits
-        second = backend.execute(query, ExecutionOptions(cache=True))
+        second, _ = backend.execute(query, ExecutionOptions(cache=True))
         assert second == first
         assert backend.cache.hits >= hits_before + len(test_X)
 
@@ -376,7 +376,7 @@ class TestCachingAndOptions:
         prepared = PreparedBatch(dataset, test_X, k=2)
         options = ExecutionOptions(cache=False, prepared=prepared)
         query = make_query(dataset, test_X, kind="counts", k=2)
-        values = backend.execute(query, options)
+        values, _ = backend.execute(query, options)
         assert values == execute_query(query, backend="sequential").values
         assert not backend._prepared  # the handed-in batch was used, not rebuilt
 

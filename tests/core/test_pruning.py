@@ -13,9 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.core.batch_engine import _counts_from_scan
 from repro.core.dataset import IncompleteDataset
-from repro.core.deltas import row_is_irrelevant
 from repro.core.entropy import certain_label_from_counts
 from repro.core.label_uncertainty import LabelUncertainDataset, label_uncertain_counts
 from repro.core.planner import (
@@ -29,6 +27,7 @@ from repro.core.pruning import (
     accumulate_prune_stats,
     apply_pins_to_scan,
     certificate_from_intervals,
+    dominated_mask,
     empty_prune_stats,
     interval_arrays,
     prune_mask,
@@ -42,7 +41,7 @@ from repro.core.pruning import (
     pruned_weighted_probabilities,
     restrict_scan,
 )
-from repro.core.scan import compute_scan_order
+from repro.core.scan import compute_scan_order, similarity_matrix
 from repro.core.topk_prob import topk_inclusion_counts_from_scan
 from repro.core.weighted import condition_weights, weighted_prediction_probabilities
 
@@ -83,13 +82,15 @@ def random_problem(seed: int, n_labels: int | None = None, clustered: bool = Fal
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_prune_mask_matches_row_is_irrelevant(seed):
+def test_prune_mask_matches_dominated_mask(seed):
     dataset, t, k, _ = random_problem(seed)
     scan = compute_scan_order(dataset, t, None)
     mins, maxs = interval_arrays(scan)
     mask = prune_mask(mins, maxs, k)
     for row in range(dataset.n_rows):
-        assert mask[row] == row_is_irrelevant(mins, row, maxs[row], k)
+        others = np.delete(mins, row)
+        assert mask[row] == (np.count_nonzero(others > maxs[row]) >= k)
+        assert mask[row] == dominated_mask(mins[None, :], maxs[[row]], k)[0]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -192,18 +193,9 @@ def test_pruned_counts_bit_identical(seed, clustered):
 def test_pruned_counts_from_sims_bit_identical(seed):
     dataset, t, k, pins = random_problem(seed, clustered=True)
     reference = PreparedQuery(dataset, t, k=k).counts(pins or None)
-    scan = compute_scan_order(dataset, t, None)
-    # Rebuild candidate-order arrays (what the batch backend holds).
-    order = np.argsort(scan.rows * 10_000 + scan.cands, kind="stable")
+    sims_row = similarity_matrix(dataset, t[None, :])[0]
     counts, _ = pruned_counts_from_sims(
-        scan.sims[order],
-        scan.rows[order],
-        scan.cands[order],
-        scan.row_labels,
-        scan.row_counts,
-        k,
-        dataset.n_labels,
-        pins or None,
+        dataset, sims_row, k, dataset.n_labels, pins or None
     )
     assert counts == reference
 

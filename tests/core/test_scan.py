@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import IncompleteDataset
-from repro.core.scan import candidate_similarities, compute_scan_order
+from repro.core.scan import compute_scan_order, similarity_matrix
 from tests.conftest import random_incomplete_dataset
+
+
+def row_similarities(dataset, t, kernel=None):
+    """Per-row similarity views of one point, split from the stacked row."""
+    sims = similarity_matrix(dataset, np.asarray(t)[None, :], kernel)[0]
+    return np.split(sims, dataset.stacked_candidates()[4][1:-1])
 
 
 class TestCandidateSimilarities:
     def test_one_vector_per_row(self):
         rng = np.random.default_rng(0)
         dataset = random_incomplete_dataset(rng)
-        sims = candidate_similarities(dataset, rng.normal(size=dataset.n_features))
+        sims = row_similarities(dataset, rng.normal(size=dataset.n_features))
         assert len(sims) == dataset.n_rows
         for row, row_sims in enumerate(sims):
             assert row_sims.shape == (dataset.candidates(row).shape[0],)
@@ -24,7 +30,7 @@ class TestCandidateSimilarities:
         dataset = random_incomplete_dataset(rng)
         t = rng.normal(size=dataset.n_features)
         kernel = NegativeEuclideanKernel()
-        sims = candidate_similarities(dataset, t, kernel)
+        sims = row_similarities(dataset, t, kernel)
         for row in range(dataset.n_rows):
             expected = kernel.similarities(dataset.candidates(row), t)
             assert np.array_equal(sims[row], expected)

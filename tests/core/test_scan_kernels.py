@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.batch_engine import _counts_from_scan
+from repro.core.engine import counts_from_scan
 from repro.core.dataset import IncompleteDataset
 from repro.core.entropy import certain_label_from_counts
 from repro.core.pruning import apply_pins_to_scan
@@ -54,7 +54,7 @@ def random_scan(seed: int):
 
 
 def exact_winners(scan, k: int, n_labels: int) -> frozenset[int]:
-    counts = _counts_from_scan(scan, k, n_labels)
+    counts = counts_from_scan(scan, k, n_labels)
     return frozenset(label for label, count in enumerate(counts) if count > 0)
 
 
@@ -156,7 +156,7 @@ def test_complete_scan_reports_exact_winner_set(seed):
     assert not full.early_terminated
     assert full.winners == reference
     assert full.certain_label == certain_label_from_counts(
-        _counts_from_scan(scan, k, n_labels)
+        counts_from_scan(scan, k, n_labels)
     )
 
 
@@ -164,7 +164,7 @@ def test_complete_scan_reports_exact_winner_set(seed):
 @pytest.mark.parametrize("implementation", KERNEL_IMPLEMENTATIONS)
 def test_verdict_matches_exact_counts(seed, implementation):
     scan, k, n_labels = random_scan(seed)
-    reference = certain_label_from_counts(_counts_from_scan(scan, k, n_labels))
+    reference = certain_label_from_counts(counts_from_scan(scan, k, n_labels))
     decision = decision_winners(scan, k, n_labels, implementation=implementation)
     assert decision.certain_label == reference
     # Early termination only ever fires once the verdict is mixed.

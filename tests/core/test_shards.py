@@ -22,11 +22,15 @@ from repro.core.planner import (
     get_backend,
     make_query,
 )
+from repro.core.kernels import NegativeEuclideanKernel
+from repro.core.minmax import row_extremes
 from repro.core.shards import (
     DEFAULT_MEMORY_BUDGET_BYTES,
     ShardedBackend,
     ShardedExecutor,
     TilePlan,
+    binary_minmax_label,
+    merge_minmax_block,
     plan_tiles,
 )
 
@@ -155,55 +159,84 @@ class TestDeterminism:
             assert runs[0] == runs[1] == self.reference(query), flavor
 
 
+def folded_extremes(dataset, test_X, tile_candidates):
+    """Per-row min/max tallies folded block by block with ``merge_minmax_block``."""
+    stacked, rows, _, _, offsets = dataset.stacked_candidates()
+    plan = plan_tiles(len(test_X), len(stacked), tile_candidates=tile_candidates)
+    mins = np.full((len(test_X), dataset.n_rows), np.inf)
+    maxs = np.full((len(test_X), dataset.n_rows), -np.inf)
+    kernel = NegativeEuclideanKernel()
+    for c0, c1 in plan.candidate_tiles:
+        block = kernel.pairwise(stacked[c0:c1], test_X)
+        merge_minmax_block(mins, maxs, block, rows, offsets, c0, c1)
+    return mins, maxs
+
+
 class TestMinMaxMerge:
-    """The streamed min/max path: exact merging, no full similarity row."""
+    """The min/max tally algebra: exact merging across candidate blocks."""
 
     def test_merged_extremes_match_dense(self):
         dataset = dataset_with_ragged_rows(5)
         test_X = np.random.default_rng(5).normal(size=(4, 2))
-        executor = ShardedExecutor(
-            dataset, test_X, k=2, tile_rows=2, tile_candidates=3
-        )
-        labels = executor.minmax_labels({}, range(4))
+        mins, maxs = folded_extremes(dataset, test_X, tile_candidates=3)
+        dense = PreparedBatch(dataset, test_X, k=2).sims_matrix
+        offsets = dataset.stacked_candidates()[4]
+        labels = [binary_minmax_label(mins[i], maxs[i], dataset.labels, 2) for i in range(4)]
+        for i in range(4):
+            lo, hi = row_extremes(dense[i], offsets)
+            assert np.array_equal(lo, mins[i]) and np.array_equal(hi, maxs[i])
         reference = execute_query(
             make_query(dataset, test_X, kind="certain_label", k=2),
             backend="sequential",
         ).values
-        assert [labels[i] for i in range(4)] == reference
+        assert labels == reference
 
     def test_pinned_rows_override_extremes(self):
         dataset = dataset_with_ragged_rows(6)
         test_X = np.random.default_rng(6).normal(size=(3, 2))
         pins = {row: 0 for row in dataset.uncertain_rows()[:2]}
-        executor = ShardedExecutor(
-            dataset, test_X, k=2, tile_rows=2, tile_candidates=1
-        )
-        labels = executor.minmax_labels(pins, range(3))
+        mins, maxs = folded_extremes(dataset, test_X, tile_candidates=1)
+        dense = PreparedBatch(dataset, test_X, k=2).sims_matrix
+        offsets = dataset.stacked_candidates()[4]
+        for row, cand in pins.items():
+            mins[:, row] = maxs[:, row] = dense[:, offsets[row] + cand]
+        labels = [binary_minmax_label(mins[i], maxs[i], dataset.labels, 2) for i in range(3)]
         reference = execute_query(
             make_query(dataset, test_X, kind="certain_label", k=2, pins=pins),
             backend="sequential",
         ).values
-        assert [labels[i] for i in range(3)] == reference
+        assert labels == reference
+        streamed = execute_query(
+            make_query(dataset, test_X, kind="certain_label", k=2, pins=pins),
+            backend="sharded",
+            options=ExecutionOptions(cache=False, tile_rows=2, tile_candidates=1),
+        ).values
+        assert streamed == reference
 
     def test_requires_binary_labels(self):
+        # Multiclass decisions never take the MinMax check; the streamed
+        # decisions still match the sequential reference.
         dataset = dataset_with_ragged_rows(7, n_labels=3)
-        executor = ShardedExecutor(dataset, np.zeros((1, 2)), k=1)
-        with pytest.raises(ValueError, match="binary"):
-            executor.minmax_labels({}, [0])
+        test_X = np.random.default_rng(7).normal(size=(3, 2))
+        query = make_query(dataset, test_X, kind="certain_label", k=1)
+        streamed = execute_query(
+            query,
+            backend="sharded",
+            options=ExecutionOptions(cache=False, tile_rows=2, tile_candidates=2),
+        ).values
+        assert streamed == execute_query(query, backend="sequential").values
 
     def test_out_of_range_pin_rejected(self):
         dataset = dataset_with_ragged_rows(8)
-        executor = ShardedExecutor(dataset, np.zeros((1, 2)), k=1)
         with pytest.raises(IndexError, match="out of range"):
-            executor.minmax_labels({0: 99}, [0])
+            make_query(dataset, np.zeros((1, 2)), kind="certain_label", k=1, pins={0: 99})
 
     def test_negative_pinned_row_rejected(self):
-        # numpy's negative indexing must not let row=-1 slip through to an
-        # uninitialised pinned-similarity slot.
+        # numpy's negative indexing must not let row=-1 slip through to the
+        # last row's similarities.
         dataset = dataset_with_ragged_rows(8)
-        executor = ShardedExecutor(dataset, np.zeros((1, 2)), k=1)
         with pytest.raises(IndexError, match="pinned row -1"):
-            executor.minmax_labels({-1: 0}, [0])
+            make_query(dataset, np.zeros((1, 2)), kind="certain_label", k=1, pins={-1: 0})
 
 
 class TestZeroCopyTile:
@@ -246,11 +279,11 @@ class TestBackendBehaviour:
         dataset = dataset_with_ragged_rows(11)
         test_X = np.random.default_rng(11).normal(size=(6, 2))
         query = make_query(dataset, test_X, kind="counts", k=2)
-        backend.execute(query, ExecutionOptions(cache=True))
-        assert backend.last_stats["n_tiles_streamed"] == 3
-        backend.execute(query, ExecutionOptions(cache=True))
+        _, stats = backend.execute(query, ExecutionOptions(cache=True))
+        assert stats["n_tiles_streamed"] == 3
+        _, stats = backend.execute(query, ExecutionOptions(cache=True))
         # Every point was cache-served: no tile streamed the second time.
-        assert backend.last_stats["n_tiles_streamed"] == 0
+        assert stats["n_tiles_streamed"] == 0
 
     def test_cost_model_prefers_tiling_above_memory_budget(self):
         small_budget = ShardedBackend(memory_budget_bytes=1)
@@ -302,7 +335,7 @@ class TestBackendBehaviour:
         dataset = dataset_with_ragged_rows(15)
         executor = ShardedExecutor(dataset, np.zeros((2, 2)), k=1)
         with pytest.raises(IndexError, match="out of range"):
-            executor.map_points(lambda scan, index: None, [5])
+            executor.map_points(lambda index, sims: None, [5])
 
     def test_plan_is_observable(self):
         executor = ShardedExecutor(

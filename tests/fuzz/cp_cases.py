@@ -4,6 +4,13 @@ Extracted from ``tests/core/test_backend_differential.py`` so the planner
 harness and the update-sequence harness draw from one generator. Every
 function is a pure function of its inputs — the same seed always builds
 the same case, so a failure report's seed replays it exactly.
+
+The kernel cycles through the four built-ins, and the seeds from
+:data:`POOL_SEEDS_FROM` on draw every candidate (in four dimensions) from
+a small shared pool — the shape of
+imputed candidate sets, where the same vector repeats across rows and
+exact similarity ties are common. That is where a kernel whose bits depend
+on a candidate's position in the matrix would make backends disagree.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ __all__ = [
     "TILE_CONFIGS",
     "SEEDS",
     "FLAVOR_CYCLE",
+    "KERNEL_CYCLE",
     "random_dataset",
     "random_pins",
     "random_weights",
@@ -38,16 +46,31 @@ BACKENDS = ("sequential", "batch", "incremental", "sharded")
 #: Small tiles (split candidate segments) and oversized tiles (single tile).
 TILE_CONFIGS = ((1, 3), (10_000, 10_000))
 
-SEEDS = list(range(20))
+SEEDS = list(range(60))
+
+#: The built-in kernels, cycled in blocks of five seeds (one flavor cycle).
+KERNEL_CYCLE = ("euclidean", "rbf", "linear", "cosine")
+
+#: Seeds from here on draw candidates from a small shared pool.
+POOL_SEEDS_FROM = 20
 
 #: Flavor cycles with the seed so every flavor is guaranteed coverage in
 #: any contiguous seed range of length >= 5; everything else is random.
 FLAVOR_CYCLE = ("binary", "multiclass", "weighted", "topk", "label_uncertainty")
 
 
-def random_dataset(rng: np.random.Generator, n_labels: int) -> IncompleteDataset:
+def random_dataset(
+    rng: np.random.Generator, n_labels: int, pool: np.ndarray | None = None
+) -> IncompleteDataset:
+    """A small random 2-d dataset; with ``pool`` every candidate is a pool row."""
     n_rows = int(rng.integers(4, 8))
-    sets = [rng.normal(size=(int(rng.integers(1, 4)), 2)) for _ in range(n_rows)]
+    if pool is None:
+        sets = [rng.normal(size=(int(rng.integers(1, 4)), 2)) for _ in range(n_rows)]
+    else:
+        sets = [
+            pool[rng.choice(len(pool), size=int(rng.integers(1, 4)), replace=False)]
+            for _ in range(n_rows)
+        ]
     labels = [int(label) for label in rng.integers(0, n_labels, size=n_rows)]
     labels[0] = 0  # the label space is exactly as declared
     labels[1] = n_labels - 1
@@ -77,16 +100,18 @@ def random_case(seed: int):
     """One seeded random query: ``(query, oracle_or_None, description)``."""
     rng = np.random.default_rng(seed)
     flavor = FLAVOR_CYCLE[seed % len(FLAVOR_CYCLE)]
+    kernel = KERNEL_CYCLE[(seed // len(FLAVOR_CYCLE)) % len(KERNEL_CYCLE)]
     n_labels = 2 if flavor in ("binary", "weighted") else int(rng.integers(2, 4))
-    dataset = random_dataset(rng, n_labels)
+    pool = rng.normal(size=(3, 4)) if seed >= POOL_SEEDS_FROM else None
+    dataset = random_dataset(rng, n_labels, pool)
     k = int(rng.integers(1, min(4, dataset.n_rows) + 1))
-    test_X = rng.normal(size=(int(rng.integers(1, 4)), 2))
+    test_X = rng.normal(size=(int(rng.integers(1, 4)), dataset.n_features))
     pins = random_pins(rng, dataset)
     kind = "counts" if flavor == "topk" else str(
         rng.choice(["counts", "certain_label", "check"])
     )
     label = int(rng.integers(0, n_labels)) if kind == "check" else None
-    kwargs = dict(kind=kind, flavor=flavor, k=k, pins=pins, label=label)
+    kwargs = dict(kind=kind, flavor=flavor, k=k, kernel=kernel, pins=pins, label=label)
 
     oracle = None
     if flavor in ("binary", "multiclass"):
@@ -95,12 +120,14 @@ def random_case(seed: int):
             restricted = dataset
             for row, cand in pins.items():
                 restricted = restricted.restrict_row(row, cand)
-            oracle = [brute_force_counts(restricted, t, k=k) for t in test_X]
+            oracle = [brute_force_counts(restricted, t, k=k, kernel=kernel) for t in test_X]
     elif flavor == "weighted":
         kwargs["weights"] = random_weights(rng, dataset)
         query = make_query(dataset, test_X, **kwargs)
     elif flavor == "topk":
-        query = make_query(dataset, test_X, kind="counts", flavor="topk", k=k, pins=pins)
+        query = make_query(
+            dataset, test_X, kind="counts", flavor="topk", k=k, kernel=kernel, pins=pins
+        )
     else:
         flip_rows = [
             int(row)
@@ -113,7 +140,11 @@ def random_case(seed: int):
             for row, cand in pins.items():
                 restricted = restricted.restrict_row(row, cand)
             oracle = [
-                label_uncertain_counts_bruteforce(restricted, t, k=k) for t in test_X
+                label_uncertain_counts_bruteforce(restricted, t, k=k, kernel=kernel)
+                for t in test_X
             ]
-    description = f"seed={seed} flavor={flavor} kind={kind} k={k} pins={pins}"
+    description = (
+        f"seed={seed} flavor={flavor} kind={kind} kernel={kernel} k={k} "
+        f"pool={pool is not None} pins={pins}"
+    )
     return query, oracle, description

@@ -58,7 +58,7 @@ class TestDeltasForceExactRedistribution:
         rng = np.random.default_rng(7000 + seed)
         query, _oracle, _description = random_case(seed * 5)  # binary seed family
         dataset = query.dataset
-        test_X = rng.normal(size=(2, 2))
+        test_X = rng.normal(size=(2, dataset.n_features))
         k = 2
         name = f"delta-{seed}"
         for step in range(4):
@@ -68,7 +68,7 @@ class TestDeltasForceExactRedistribution:
                 cand = int(rng.integers(0, dataset.candidate_counts()[row]))
                 delta = CellRepair(row, cand)
             elif step == 1:
-                delta = RowAppend(rng.normal(size=(2, 2)), 0)
+                delta = RowAppend(rng.normal(size=(2, dataset.n_features)), 0)
             else:
                 delta = RowDelete(int(rng.integers(0, dataset.n_rows)))
             dataset = apply_delta_to_dataset(dataset, delta)
