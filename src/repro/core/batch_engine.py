@@ -341,9 +341,8 @@ def kernel_cache_key(kernel: Kernel) -> str:
     key. A user-defined kernel that keeps ``object.__repr__`` would be
     keyed by its memory address — and a recycled address could alias two
     different kernels into one cache entry — so such kernels get a
-    process-unique token kept on the instance instead: repeated queries
-    with the same kernel object hit the cache, but entries are never
-    shared across kernel instances.
+    fresh process-unique token per key instead: their results are never
+    served from a cache, and entries are never shared across instances.
 
     The contract for custom kernels that *do* define ``__repr__``: the
     repr must encode every parameter that changes the similarity values
@@ -353,14 +352,7 @@ def kernel_cache_key(kernel: Kernel) -> str:
     cls = type(kernel)
     identity = f"{cls.__module__}.{cls.__qualname__}"
     if cls.__repr__ is object.__repr__:
-        token = getattr(kernel, "_cache_token", None)
-        if token is None:
-            token = uuid.uuid4().hex
-            try:
-                kernel._cache_token = token
-            except AttributeError:  # no instance dict: a fresh token per call
-                pass
-        return f"{identity}#{token}"
+        return f"{identity}#{uuid.uuid4().hex}"
     return f"{identity}:{kernel!r}"
 
 

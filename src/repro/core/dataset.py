@@ -57,18 +57,31 @@ class IncompleteDataset:
         if labels_arr.min() < 0:
             raise ValueError("labels must be non-negative integers")
 
-        first = check_matrix(candidate_sets[0], "candidate_sets[0]")
-        dim = first.shape[1]
-        sets: list[np.ndarray] = []
-        for i, cand in enumerate(candidate_sets):
-            matrix = check_matrix(cand, f"candidate_sets[{i}]", n_cols=dim)
+        dim = check_matrix(candidate_sets[0], "candidate_sets[0]").shape[1]
+        matrices = [np.asarray(cand, dtype=np.float64) for cand in candidate_sets]
+        for i, matrix in enumerate(matrices):
+            if matrix.ndim != 2 or matrix.shape[1] != dim:
+                check_matrix(matrix, f"candidate_sets[{i}]", n_cols=dim)  # raises
             if matrix.shape[0] < 1:
                 raise ValueError(f"candidate_sets[{i}] must contain at least one candidate")
-            matrix = matrix.copy()
-            matrix.setflags(write=False)
-            sets.append(matrix)
+        # One copy and one finiteness check for every row: the rows are
+        # read-only views into this block, which is also the stacked
+        # candidate matrix of :meth:`stacked_candidates`.
+        block = np.concatenate(matrices, axis=0)
+        if not np.all(np.isfinite(block)):
+            bad = next(i for i, m in enumerate(matrices) if not np.all(np.isfinite(m)))
+            raise ValueError(f"candidate_sets[{bad}] must be finite (no NaN/inf values)")
+        block.setflags(write=False)
+        counts = np.array([matrix.shape[0] for matrix in matrices], dtype=np.int64)
+        offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
+        bounds = offsets.tolist()
+        counts.setflags(write=False)
+        offsets.setflags(write=False)
 
-        self._candidate_sets = sets
+        self._candidate_sets = [block[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        self._block = block
+        self._counts = counts
+        self._offsets = offsets
         self._labels = labels_arr.copy()
         self._labels.setflags(write=False)
         self._dim = dim
@@ -104,7 +117,7 @@ class IncompleteDataset:
 
     def candidate_counts(self) -> np.ndarray:
         """Vector of candidate-set sizes ``m_i`` for every row."""
-        return np.array([c.shape[0] for c in self._candidate_sets], dtype=np.int64)
+        return self._counts.copy()
 
     def label_of(self, row: int) -> int:
         """The (certain) label ``y_row``."""
@@ -162,26 +175,22 @@ class IncompleteDataset:
         per-row candidate count ``m_i``, and the ``(N + 1,)`` segment
         boundaries (row ``i`` occupies ``offsets[i]:offsets[i + 1]``). This
         is the one preparation input of every scan: similarities come from
-        a single ``kernel.pairwise(stacked, X)`` call. Instances are
-        immutable, so the arrays are built once, cached and read-only —
-        and dropped from pickles, which stay as small as the dataset.
+        a single ``kernel.pairwise(stacked, X)`` call. ``stacked`` is the
+        block the rows are views of, so it costs no copy; the index arrays
+        are built once, cached and read-only.
         """
         if self._stacked is None:
-            counts = self.candidate_counts()
-            offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
-            rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), counts)
-            cands = np.arange(int(offsets[-1]), dtype=np.int64) - offsets[rows]
-            stacked = np.concatenate(self._candidate_sets, axis=0)
-            arrays = (stacked, rows, cands, counts, offsets)
-            for array in arrays:
-                array.setflags(write=False)
-            self._stacked = arrays
+            rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), self._counts)
+            cands = np.arange(self._block.shape[0], dtype=np.int64) - self._offsets[rows]
+            rows.setflags(write=False)
+            cands.setflags(write=False)
+            self._stacked = (self._block, rows, cands, self._counts, self._offsets)
         return self._stacked
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_stacked"] = None
-        return state
+    def __reduce__(self):
+        # Pickles carry the candidate sets and labels only; unpickling
+        # re-runs the constructor, which rebuilds the shared block.
+        return (type(self), (self._candidate_sets, self._labels))
 
     def __len__(self) -> int:
         return self.n_rows
@@ -204,24 +213,6 @@ class IncompleteDataset:
     # ------------------------------------------------------------------
     # Derivation (used by cleaning)
     # ------------------------------------------------------------------
-    @classmethod
-    def _derived(cls, sets: list[np.ndarray], labels: np.ndarray) -> "IncompleteDataset":
-        """An instance over candidate sets that are already validated.
-
-        Derivations reuse their parent's read-only arrays (new rows are
-        validated and frozen by the caller), so the per-row checks and
-        copies of :meth:`__init__` are skipped.
-        """
-        dataset = cls.__new__(cls)
-        labels = np.asarray(labels, dtype=np.int64)
-        labels.setflags(write=False)
-        dataset._candidate_sets = sets
-        dataset._labels = labels
-        dataset._dim = sets[0].shape[1]
-        dataset._fingerprint = None
-        dataset._stacked = None
-        return dataset
-
     def with_row_fixed(self, row: int, value: np.ndarray) -> "IncompleteDataset":
         """A copy of the dataset in which row ``row`` is certain with ``value``.
 
@@ -236,11 +227,9 @@ class IncompleteDataset:
                 f"value is not among the {self._candidate_sets[row].shape[0]} "
                 f"candidates of row {row} (the dataset would become invalid)"
             )
-        fixed = value.reshape(1, -1).copy()
-        fixed.setflags(write=False)
         sets = list(self._candidate_sets)
-        sets[row] = fixed
-        return IncompleteDataset._derived(sets, self._labels)
+        sets[row] = value.reshape(1, -1)
+        return IncompleteDataset(sets, self._labels)
 
     def restrict_row(self, row: int, candidate_index: int) -> "IncompleteDataset":
         """A copy with row ``row`` restricted to its ``candidate_index``-th candidate."""
@@ -252,7 +241,7 @@ class IncompleteDataset:
             )
         sets = list(self._candidate_sets)
         sets[row] = cands[candidate_index : candidate_index + 1]
-        return IncompleteDataset._derived(sets, self._labels)
+        return IncompleteDataset(sets, self._labels)
 
     def append_row(self, candidates: np.ndarray, label: int) -> "IncompleteDataset":
         """A copy with a new row appended (candidate set + certain label).
@@ -266,11 +255,9 @@ class IncompleteDataset:
         label = int(label)
         if label < 0:
             raise ValueError(f"labels must be non-negative integers, got {label}")
-        matrix = matrix.copy()
-        matrix.setflags(write=False)
         sets = list(self._candidate_sets) + [matrix]
         labels = np.append(self._labels, np.int64(label))
-        return IncompleteDataset._derived(sets, labels)
+        return IncompleteDataset(sets, labels)
 
     def delete_row(self, row: int) -> "IncompleteDataset":
         """A copy with row ``row`` removed (later rows shift down by one).
@@ -283,7 +270,7 @@ class IncompleteDataset:
             raise ValueError("cannot delete the last row of a dataset")
         sets = [c for i, c in enumerate(self._candidate_sets) if i != row]
         labels = np.delete(self._labels, row)
-        return IncompleteDataset._derived(sets, labels)
+        return IncompleteDataset(sets, labels)
 
     def world(self, choice: Sequence[int]) -> np.ndarray:
         """Materialise the possible world selecting ``choice[i]`` from ``C_i``.

@@ -63,6 +63,7 @@ from repro.core.dataset import IncompleteDataset
 from repro.core.engine import counts_from_scan
 from repro.core.entropy import certain_label_from_counts
 from repro.core.kernels import Kernel, resolve_kernel
+from repro.core.minmax import row_extremes
 from repro.core.pruning import (
     accumulate_prune_stats,
     dominated_mask,
@@ -208,8 +209,7 @@ class DeltaMaintainedState:
         self._row_sims: list[np.ndarray] = [
             block.copy() for block in np.split(sims_matrix, offsets[1:-1], axis=1)
         ]
-        self._mins = np.minimum.reduceat(sims_matrix, offsets[:-1], axis=1)
-        self._maxs = np.maximum.reduceat(sims_matrix, offsets[:-1], axis=1)
+        self._mins, self._maxs = row_extremes(sims_matrix, offsets)
         self.prune = bool(prune)
         self.prune_stats = empty_prune_stats()
         self._counts: list[list[int]] = [

@@ -44,15 +44,17 @@ __all__ = [
 def row_extremes(
     sims: np.ndarray, offsets: np.ndarray, fixed: Mapping[int, int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row ``(min, max)`` candidate similarity of one candidate-order row.
+    """Per-row ``(min, max)`` candidate similarity of candidate-order rows.
 
-    ``offsets`` are the row segment boundaries of
+    ``sims`` is one similarity row ``(P,)`` or a matrix ``(T, P)`` of them;
+    the result has shape ``(N,)`` or ``(T, N)``. ``offsets`` are the row
+    segment boundaries of
     :meth:`~repro.core.dataset.IncompleteDataset.stacked_candidates`; a
     pinned row's interval collapses to its pinned candidate's similarity.
     """
     starts = offsets[:-1]
-    mins = np.minimum.reduceat(sims, starts)
-    maxs = np.maximum.reduceat(sims, starts)
+    mins = np.minimum.reduceat(sims, starts, axis=-1)
+    maxs = np.maximum.reduceat(sims, starts, axis=-1)
     for row, cand in (fixed or {}).items():
         m_row = int(offsets[row + 1] - offsets[row])
         if not 0 <= cand < m_row:
@@ -60,7 +62,7 @@ def row_extremes(
                 f"fixed candidate {cand} out of range for row {row} "
                 f"with {m_row} candidates"
             )
-        mins[row] = maxs[row] = sims[int(offsets[row]) + cand]
+        mins[..., row] = maxs[..., row] = sims[..., int(offsets[row]) + cand]
     return mins, maxs
 
 

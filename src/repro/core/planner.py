@@ -16,7 +16,9 @@ possible worlds, so every front door goes through this module:
   oracle. :func:`_execute_points` is the skeleton around it — cache
   lookup, evaluation of the missing points, stats folding, the ``check``
   kind — so backends differ only in how they prepare similarity rows,
-  fan points out and cache values.
+  fan points out and cache values. :data:`EXTREME_FUNCTIONS` marks the
+  entries that read a row only through its per-row extremes, so a
+  streaming backend can hand them min/max tallies instead of full rows.
 * :class:`Backend` is the executor protocol. Each backend declares
   :class:`BackendCapabilities` (which flavors and kinds it can serve,
   whether it is batchable / incremental / exact) and estimates its cost
@@ -143,6 +145,7 @@ __all__ = [
     "plan_query",
     "execute_query",
     "POINT_FUNCTIONS",
+    "EXTREME_FUNCTIONS",
     "PointTask",
     "SequentialBackend",
     "BatchParallelBackend",
@@ -814,6 +817,12 @@ def _minmax_label(task: PointTask, index: int, sims: np.ndarray) -> tuple[int | 
     # The MM shortcut (Algorithm 2): no counting at all, exact for binary
     # labels. Already maximally early-terminating, so it never prunes.
     mins, maxs = row_extremes(sims, task.dataset.stacked_candidates()[4], task.fixed)
+    return _label_from_extremes(task, index, mins, maxs)
+
+
+def _label_from_extremes(
+    task: PointTask, index: int, mins: np.ndarray, maxs: np.ndarray
+) -> tuple[int | None, dict]:
     winners = extreme_winners(mins, maxs, task.dataset.labels, task.query.k, 2)
     return (winners[0] if len(winners) == 1 else None), {}
 
@@ -958,6 +967,14 @@ POINT_FUNCTIONS: dict[tuple[str, str, str], Callable] = {
     ("label_uncertainty", "decision", "scan"): _uncertain_label,
     ("label_uncertainty", "decision", "pruned"): _pruned_uncertain_label,
 }
+
+
+#: Table functions that read a similarity row only through its per-row
+#: ``(min, max)`` extremes (pins collapsed), mapped to the same function of
+#: those extremes, ``fn(task, index, mins, maxs)``. A backend that streams
+#: candidate blocks can then keep ``N``-wide tallies instead of ``P``-wide
+#: rows (the sharded backend does).
+EXTREME_FUNCTIONS: dict[Callable, Callable] = {_minmax_label: _label_from_extremes}
 
 
 def _mode(query: CPQuery) -> str:

@@ -56,7 +56,6 @@ from repro.core.scan_kernels import DecisionScan, decision_winners
 __all__ = [
     "PruneCertificate",
     "interval_arrays",
-    "batch_interval_arrays",
     "prune_mask",
     "dominated_mask",
     "certificate_from_intervals",
@@ -93,23 +92,6 @@ def interval_arrays(scan: ScanOrder) -> tuple[np.ndarray, np.ndarray]:
     maxs = np.full(n, -np.inf, dtype=np.float64)
     np.minimum.at(mins, scan.rows, scan.sims)
     np.maximum.at(maxs, scan.rows, scan.sims)
-    return mins, maxs
-
-
-def batch_interval_arrays(
-    sims_matrix: np.ndarray, offsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row intervals for *every* test point at once from a similarity matrix.
-
-    ``sims_matrix`` is the ``(T, P)`` candidate-order similarity matrix of a
-    :class:`~repro.core.batch_engine.PreparedBatch`; ``offsets`` its row
-    segment starts (``offsets[r]:offsets[r+1]`` is row ``r``). Returns
-    ``(mins, maxs)`` of shape ``(T, N)`` — one ``reduceat`` per extreme, no
-    per-point work.
-    """
-    starts = np.asarray(offsets[:-1], dtype=np.intp)
-    mins = np.minimum.reduceat(sims_matrix, starts, axis=1)
-    maxs = np.maximum.reduceat(sims_matrix, starts, axis=1)
     return mins, maxs
 
 

@@ -40,7 +40,11 @@ move ProvSQL-style provenance engines make when exact counting must scale:
 
 Memory model: the resident similarity state is one ``tile_rows × P``
 buffer (a point's table function reads its full candidate row) plus the
-``tile_rows × tile_candidates`` kernel block being filled.
+``tile_rows × tile_candidates`` kernel block being filled. Table functions
+that only need per-row extremes (binary certainty, see
+:data:`repro.core.planner.EXTREME_FUNCTIONS`) stream ``tile_rows × N``
+min/max tallies instead of the ``P``-wide buffer
+(:meth:`ShardedExecutor.map_extremes`).
 Tiling is a layout decision, never a semantic one: every value is
 bit-identical to the sequential reference for any ``tile_rows``,
 ``tile_candidates`` and ``n_jobs`` (``tests/core/test_shards.py`` and the
@@ -53,7 +57,7 @@ from __future__ import annotations
 import multiprocessing
 import sys
 import threading
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -68,6 +72,7 @@ from repro.core.dataset import IncompleteDataset
 from repro.core.kernels import Kernel, resolve_kernel
 from repro.core.minmax import extreme_winners
 from repro.core.planner import (
+    EXTREME_FUNCTIONS,
     FLAVORS,
     KINDS,
     Backend,
@@ -380,6 +385,55 @@ class ShardedExecutor:
             self.n_tiles_streamed += 1
         return results
 
+    def map_extremes(
+        self,
+        decide: Callable[[int, np.ndarray, np.ndarray], Any],
+        indices: Iterable[int],
+        fixed: Mapping[int, int],
+    ) -> dict[int, Any]:
+        """``decide(index, mins, maxs)`` per requested point from streamed tallies.
+
+        For table functions that read a similarity row only through its
+        per-row extremes (:data:`repro.core.planner.EXTREME_FUNCTIONS`). Per
+        candidate tile the block's row extremes are merged into running
+        ``tile_rows × N`` min/max tallies (:func:`merge_minmax_block`, exact
+        since min and max are associative), and a pinned row collapses to
+        its pinned candidate's similarity, as in
+        :func:`~repro.core.minmax.row_extremes`. The ``P``-wide similarity
+        row is never materialised. Runs in process.
+        """
+        _, rows, _, counts, offsets = self.dataset.stacked_candidates()
+        pins = sorted(fixed.items())
+        for row, cand in pins:
+            if not 0 <= row < self.dataset.n_rows:
+                raise IndexError(
+                    f"pinned row {row} out of range for {self.dataset.n_rows} rows"
+                )
+            if not 0 <= cand < int(counts[row]):
+                raise IndexError(
+                    f"pinned candidate {cand} out of range for row {row} "
+                    f"with {int(counts[row])} candidates"
+                )
+        positions = [int(offsets[row]) + cand for row, cand in pins]
+        results: dict[int, Any] = {}
+        for (r0, r1), members in self._tiles_with(indices):
+            mins = np.full((r1 - r0, self.dataset.n_rows), np.inf)
+            maxs = np.full((r1 - r0, self.dataset.n_rows), -np.inf)
+            pinned = np.empty((r1 - r0, len(pins)))
+            for c0, c1 in self.plan.candidate_tiles:
+                block = self.kernel.pairwise(self._stacked[c0:c1], self.test_X[r0:r1])
+                merge_minmax_block(mins, maxs, block, rows, offsets, c0, c1)
+                for slot, position in enumerate(positions):
+                    if c0 <= position < c1:
+                        pinned[:, slot] = block[:, position - c0]
+            # After the merge: a pinned row's segment may span several blocks.
+            for slot, (row, _) in enumerate(pins):
+                mins[:, row] = maxs[:, row] = pinned[:, slot]
+            for index in members:
+                results[index] = decide(index, mins[index - r0], maxs[index - r0])
+            self.n_tiles_streamed += 1
+        return results
+
     def tile_batch(self, r0: int, r1: int) -> PreparedBatch:
         """A zero-copy :class:`PreparedBatch` over one streamed row tile.
 
@@ -448,7 +502,8 @@ class ShardedBackend(Backend):
     Serves all five task flavors and all three kinds through the planner's
     per-point dispatch table, with results bit-identical to every other
     backend. Each point's table function reads its similarity row straight
-    off the streamed tile buffer (pooled across ``n_jobs`` workers).
+    off the streamed tile buffer (pooled across ``n_jobs`` workers); binary
+    certainty reads streamed per-row min/max tallies instead.
     Results are cached per point in a fingerprint-keyed LRU, so a cleaning
     session's repeated queries skip their tiles entirely.
 
@@ -529,6 +584,13 @@ class ShardedBackend(Backend):
                 n_jobs=options.n_jobs,
             )
             streamed.append(executor)
+            decide = EXTREME_FUNCTIONS.get(fn)
+            if decide is not None:
+                return executor.map_extremes(
+                    lambda index, mins, maxs: decide(task, index, mins, maxs),
+                    missing,
+                    task.fixed,
+                )
             return executor.map_points(
                 lambda index, sims: fn(task, index, sims), missing
             )

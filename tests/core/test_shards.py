@@ -22,7 +22,6 @@ from repro.core.planner import (
     get_backend,
     make_query,
 )
-from repro.core.kernels import NegativeEuclideanKernel
 from repro.core.minmax import row_extremes
 from repro.core.shards import (
     DEFAULT_MEMORY_BUDGET_BYTES,
@@ -30,7 +29,6 @@ from repro.core.shards import (
     ShardedExecutor,
     TilePlan,
     binary_minmax_label,
-    merge_minmax_block,
     plan_tiles,
 )
 
@@ -159,61 +157,90 @@ class TestDeterminism:
             assert runs[0] == runs[1] == self.reference(query), flavor
 
 
-def folded_extremes(dataset, test_X, tile_candidates):
-    """Per-row min/max tallies folded block by block with ``merge_minmax_block``."""
-    stacked, rows, _, _, offsets = dataset.stacked_candidates()
-    plan = plan_tiles(len(test_X), len(stacked), tile_candidates=tile_candidates)
-    mins = np.full((len(test_X), dataset.n_rows), np.inf)
-    maxs = np.full((len(test_X), dataset.n_rows), -np.inf)
-    kernel = NegativeEuclideanKernel()
-    for c0, c1 in plan.candidate_tiles:
-        block = kernel.pairwise(stacked[c0:c1], test_X)
-        merge_minmax_block(mins, maxs, block, rows, offsets, c0, c1)
-    return mins, maxs
+def streamed_extremes(dataset, test_X, pins, tile_rows, tile_candidates):
+    """Per-point ``(mins, maxs)`` tallies as the executor streams them."""
+    executor = ShardedExecutor(
+        dataset, test_X, k=2, tile_rows=tile_rows, tile_candidates=tile_candidates
+    )
+    return executor.map_extremes(
+        lambda index, mins, maxs: (mins.copy(), maxs.copy()),
+        range(len(test_X)),
+        pins,
+    )
 
 
 class TestMinMaxMerge:
-    """The min/max tally algebra: exact merging across candidate blocks."""
+    """The streamed min/max path: exact merging, no full similarity row."""
 
-    def test_merged_extremes_match_dense(self):
+    @pytest.mark.parametrize("tile_rows,tile_candidates", [(1, 1), (2, 3), (8, 1000)])
+    def test_merged_extremes_match_dense(self, tile_rows, tile_candidates):
         dataset = dataset_with_ragged_rows(5)
         test_X = np.random.default_rng(5).normal(size=(4, 2))
-        mins, maxs = folded_extremes(dataset, test_X, tile_candidates=3)
+        streamed = streamed_extremes(dataset, test_X, {}, tile_rows, tile_candidates)
         dense = PreparedBatch(dataset, test_X, k=2).sims_matrix
         offsets = dataset.stacked_candidates()[4]
-        labels = [binary_minmax_label(mins[i], maxs[i], dataset.labels, 2) for i in range(4)]
         for i in range(4):
             lo, hi = row_extremes(dense[i], offsets)
-            assert np.array_equal(lo, mins[i]) and np.array_equal(hi, maxs[i])
+            assert np.array_equal(lo, streamed[i][0])
+            assert np.array_equal(hi, streamed[i][1])
+        labels = [binary_minmax_label(*streamed[i], dataset.labels, 2) for i in range(4)]
         reference = execute_query(
             make_query(dataset, test_X, kind="certain_label", k=2),
             backend="sequential",
         ).values
         assert labels == reference
 
-    def test_pinned_rows_override_extremes(self):
+    @pytest.mark.parametrize("tile_candidates", [1, 2, 1000])
+    def test_pinned_rows_override_extremes(self, tile_candidates):
+        # Small tiles split pinned rows' segments: blocks after the one
+        # holding the pinned candidate must not widen its interval again.
         dataset = dataset_with_ragged_rows(6)
         test_X = np.random.default_rng(6).normal(size=(3, 2))
         pins = {row: 0 for row in dataset.uncertain_rows()[:2]}
-        mins, maxs = folded_extremes(dataset, test_X, tile_candidates=1)
+        streamed = streamed_extremes(dataset, test_X, pins, 2, tile_candidates)
         dense = PreparedBatch(dataset, test_X, k=2).sims_matrix
         offsets = dataset.stacked_candidates()[4]
-        for row, cand in pins.items():
-            mins[:, row] = maxs[:, row] = dense[:, offsets[row] + cand]
-        labels = [binary_minmax_label(mins[i], maxs[i], dataset.labels, 2) for i in range(3)]
-        reference = execute_query(
-            make_query(dataset, test_X, kind="certain_label", k=2, pins=pins),
-            backend="sequential",
-        ).values
-        assert labels == reference
-        streamed = execute_query(
-            make_query(dataset, test_X, kind="certain_label", k=2, pins=pins),
+        for i in range(3):
+            lo, hi = row_extremes(dense[i], offsets, pins)
+            assert np.array_equal(lo, streamed[i][0])
+            assert np.array_equal(hi, streamed[i][1])
+        query = make_query(dataset, test_X, kind="certain_label", k=2, pins=pins)
+        reference = execute_query(query, backend="sequential").values
+        assert [binary_minmax_label(*streamed[i], dataset.labels, 2)
+                for i in range(3)] == reference
+        sharded = execute_query(
+            query,
             backend="sharded",
-            options=ExecutionOptions(cache=False, tile_rows=2, tile_candidates=1),
+            options=ExecutionOptions(
+                cache=False, tile_rows=2, tile_candidates=tile_candidates
+            ),
         ).values
-        assert streamed == reference
+        assert sharded == reference
 
-    def test_requires_binary_labels(self):
+    def test_binary_decisions_never_build_full_rows(self, monkeypatch):
+        dataset = dataset_with_ragged_rows(9)
+        test_X = np.random.default_rng(9).normal(size=(5, 2))
+        reference = {
+            kind: execute_query(
+                make_query(dataset, test_X, kind=kind, k=2, label=0),
+                backend="sequential",
+            ).values
+            for kind in ("certain_label", "check")
+        }
+
+        def no_full_rows(*args, **kwargs):
+            raise AssertionError("a binary decision streamed P-wide rows")
+
+        monkeypatch.setattr(ShardedExecutor, "map_points", no_full_rows)
+        for kind, values in reference.items():
+            streamed = execute_query(
+                make_query(dataset, test_X, kind=kind, k=2, label=0),
+                backend="sharded",
+                options=ExecutionOptions(cache=False, tile_rows=2, tile_candidates=3),
+            ).values
+            assert streamed == values
+
+    def test_multiclass_decisions_match(self):
         # Multiclass decisions never take the MinMax check; the streamed
         # decisions still match the sequential reference.
         dataset = dataset_with_ragged_rows(7, n_labels=3)
@@ -229,12 +256,16 @@ class TestMinMaxMerge:
     def test_out_of_range_pin_rejected(self):
         dataset = dataset_with_ragged_rows(8)
         with pytest.raises(IndexError, match="out of range"):
+            streamed_extremes(dataset, np.zeros((1, 2)), {0: 99}, 1, 1)
+        with pytest.raises(IndexError, match="out of range"):
             make_query(dataset, np.zeros((1, 2)), kind="certain_label", k=1, pins={0: 99})
 
     def test_negative_pinned_row_rejected(self):
         # numpy's negative indexing must not let row=-1 slip through to the
         # last row's similarities.
         dataset = dataset_with_ragged_rows(8)
+        with pytest.raises(IndexError, match="pinned row -1"):
+            streamed_extremes(dataset, np.zeros((1, 2)), {-1: 0}, 1, 1)
         with pytest.raises(IndexError, match="pinned row -1"):
             make_query(dataset, np.zeros((1, 2)), kind="certain_label", k=1, pins={-1: 0})
 

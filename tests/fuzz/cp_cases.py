@@ -5,12 +5,13 @@ harness and the update-sequence harness draw from one generator. Every
 function is a pure function of its inputs — the same seed always builds
 the same case, so a failure report's seed replays it exactly.
 
-The kernel cycles through the four built-ins, and the seeds from
-:data:`POOL_SEEDS_FROM` on draw every candidate (in four dimensions) from
-a small shared pool — the shape of
-imputed candidate sets, where the same vector repeats across rows and
-exact similarity ties are common. That is where a kernel whose bits depend
-on a candidate's position in the matrix would make backends disagree.
+Seeds below :data:`POOL_SEEDS_FROM` use the paper's default kernel
+(negative Euclidean) on random 2-d candidates. The seeds from there on
+cycle through the four built-in kernels and draw every candidate (in four
+dimensions) from a small shared pool — the shape of imputed candidate
+sets, where the same vector repeats across rows and exact similarity ties
+are common. That is where a kernel whose bits depend on a candidate's
+position in the matrix would make backends disagree.
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ TILE_CONFIGS = ((1, 3), (10_000, 10_000))
 
 SEEDS = list(range(60))
 
-#: The built-in kernels, cycled in blocks of five seeds (one flavor cycle).
-KERNEL_CYCLE = ("euclidean", "rbf", "linear", "cosine")
-
-#: Seeds from here on draw candidates from a small shared pool.
+#: Seeds from here on draw candidates from a small shared pool and cycle
+#: the kernel; the seeds below keep the default kernel on random candidates.
 POOL_SEEDS_FROM = 20
+
+#: The built-in kernels, cycled in blocks of five pool seeds (one flavor cycle).
+KERNEL_CYCLE = ("euclidean", "rbf", "linear", "cosine")
 
 #: Flavor cycles with the seed so every flavor is guaranteed coverage in
 #: any contiguous seed range of length >= 5; everything else is random.
@@ -100,9 +102,11 @@ def random_case(seed: int):
     """One seeded random query: ``(query, oracle_or_None, description)``."""
     rng = np.random.default_rng(seed)
     flavor = FLAVOR_CYCLE[seed % len(FLAVOR_CYCLE)]
-    kernel = KERNEL_CYCLE[(seed // len(FLAVOR_CYCLE)) % len(KERNEL_CYCLE)]
+    pooled = seed >= POOL_SEEDS_FROM
+    block = (seed - POOL_SEEDS_FROM) // len(FLAVOR_CYCLE)
+    kernel = KERNEL_CYCLE[block % len(KERNEL_CYCLE)] if pooled else KERNEL_CYCLE[0]
     n_labels = 2 if flavor in ("binary", "weighted") else int(rng.integers(2, 4))
-    pool = rng.normal(size=(3, 4)) if seed >= POOL_SEEDS_FROM else None
+    pool = rng.normal(size=(3, 4)) if pooled else None
     dataset = random_dataset(rng, n_labels, pool)
     k = int(rng.integers(1, min(4, dataset.n_rows) + 1))
     test_X = rng.normal(size=(int(rng.integers(1, 4)), dataset.n_features))
