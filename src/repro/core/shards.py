@@ -34,9 +34,12 @@ move ProvSQL-style provenance engines make when exact counting must scale:
   tiled execution once the dense similarity matrix would exceed
   ``memory_budget_bytes``, and defers to the ``batch`` backend below that
   threshold.
-* :func:`merge_minmax_block` / :func:`binary_minmax_label` are the exact
-  min/max tally-merge algebra the partitioned service gateway uses to
-  decide binary certainty from per-row extremes merged across processes.
+* :func:`stream_extremes` is the one extremes fold: per-row min/max
+  similarity tallies of a dataset, streamed in bounded candidate blocks
+  and merged with the exact associative algebra of
+  :func:`merge_minmax_block`. :meth:`ShardedExecutor.map_extremes` runs
+  it once per row tile; the partitioned service's executors
+  (:mod:`repro.service.executor`) run it over their dataset slices.
 
 Memory model: the resident similarity state is one ``tile_rows × P``
 buffer (a point's table function reads its full candidate row) plus the
@@ -70,7 +73,6 @@ from repro.core.batch_engine import (
 )
 from repro.core.dataset import IncompleteDataset
 from repro.core.kernels import Kernel, resolve_kernel
-from repro.core.minmax import extreme_winners
 from repro.core.planner import (
     EXTREME_FUNCTIONS,
     FLAVORS,
@@ -90,7 +92,7 @@ __all__ = [
     "TilePlan",
     "plan_tiles",
     "merge_minmax_block",
-    "binary_minmax_label",
+    "stream_extremes",
     "ShardedExecutor",
     "ShardedBackend",
 ]
@@ -189,15 +191,14 @@ def plan_tiles(
 
 
 # ---------------------------------------------------------------------------
-# The exact min/max tally-merge algebra
+# The exact min/max tally fold
 # ---------------------------------------------------------------------------
 #
-# These two helpers are the whole of the MinMax "tally" contract: fold
-# similarity blocks into per-row extreme tallies (merge), decide Q1 from
-# the merged extremes (decision). They are shared by the tile-streaming
-# executor below and the partitioned service gateway
-# (:mod:`repro.service.gateway`), which merges tallies produced in
-# *different processes* — the algebra is what makes that merge lossless.
+# The whole of the MinMax "tally" contract: fold similarity blocks into
+# per-row extreme tallies. Shared by the tile-streaming executor below and
+# the partitioned service's executors (:mod:`repro.service.executor`),
+# whose tallies the gateway concatenates across *different processes* —
+# the associative algebra is what makes that merge lossless.
 
 
 def merge_minmax_block(
@@ -236,18 +237,51 @@ def merge_minmax_block(
     )
 
 
-def binary_minmax_label(
-    lo: np.ndarray, hi: np.ndarray, labels: np.ndarray, k: int
-) -> int | None:
-    """The Q1 verdict for one point from merged per-row extreme tallies.
+def stream_extremes(
+    dataset: IncompleteDataset,
+    test_X: np.ndarray,
+    kernel: Kernel,
+    fixed: Mapping[int, int],
+    tile_candidates: int = DEFAULT_TILE_CANDIDATES,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ``(mins, maxs)`` similarity tallies of ``test_X``, streamed.
 
-    ``lo`` / ``hi`` are the per-row min/max similarities (pins already
-    applied as ``lo == hi == pinned similarity``). Binary label spaces
-    only; the decision is :func:`~repro.core.minmax.extreme_winners`, the
-    one MinMax check, so the verdict is bit-identical to every backend's.
+    One bounded ``kernel.pairwise`` block per ``tile_candidates`` stacked
+    candidates, folded by :func:`merge_minmax_block`; the ``(T, P)``
+    similarity matrix is never materialised. A pinned row of ``fixed``
+    collapses to its pinned candidate's similarity, as in
+    :func:`~repro.core.minmax.row_extremes` (pins out of range raise
+    :class:`IndexError`). Returns two ``(T, N)`` arrays, bit-identical to
+    the dense ``row_extremes`` for any ``tile_candidates``.
     """
-    winners = extreme_winners(lo, hi, labels, k, 2)
-    return winners[0] if len(winners) == 1 else None
+    stacked, rows, _, counts, offsets = dataset.stacked_candidates()
+    pins = sorted(fixed.items())
+    for row, cand in pins:
+        if not 0 <= row < dataset.n_rows:
+            raise IndexError(f"pinned row {row} out of range for {dataset.n_rows} rows")
+        if not 0 <= cand < int(counts[row]):
+            raise IndexError(
+                f"pinned candidate {cand} out of range for row {row} "
+                f"with {int(counts[row])} candidates"
+            )
+    positions = [int(offsets[row]) + cand for row, cand in pins]
+    n_points = test_X.shape[0]
+    mins = np.full((n_points, dataset.n_rows), np.inf)
+    maxs = np.full((n_points, dataset.n_rows), -np.inf)
+    pinned = np.empty((n_points, len(pins)))
+    total = stacked.shape[0]
+    step = check_positive_int(tile_candidates, "tile_candidates")
+    for c0 in range(0, total, step):
+        c1 = min(c0 + step, total)
+        block = kernel.pairwise(stacked[c0:c1], test_X)
+        merge_minmax_block(mins, maxs, block, rows, offsets, c0, c1)
+        for slot, position in enumerate(positions):
+            if c0 <= position < c1:
+                pinned[:, slot] = block[:, position - c0]
+    # After the merge: a pinned row's segment may span several blocks.
+    for slot, (row, _) in enumerate(pins):
+        mins[:, row] = maxs[:, row] = pinned[:, slot]
+    return mins, maxs
 
 
 # ---------------------------------------------------------------------------
@@ -394,41 +428,20 @@ class ShardedExecutor:
         """``decide(index, mins, maxs)`` per requested point from streamed tallies.
 
         For table functions that read a similarity row only through its
-        per-row extremes (:data:`repro.core.planner.EXTREME_FUNCTIONS`). Per
-        candidate tile the block's row extremes are merged into running
-        ``tile_rows × N`` min/max tallies (:func:`merge_minmax_block`, exact
-        since min and max are associative), and a pinned row collapses to
-        its pinned candidate's similarity, as in
-        :func:`~repro.core.minmax.row_extremes`. The ``P``-wide similarity
-        row is never materialised. Runs in process.
+        per-row extremes (:data:`repro.core.planner.EXTREME_FUNCTIONS`):
+        one :func:`stream_extremes` fold per row tile keeps ``tile_rows ×
+        N`` tallies, and the ``P``-wide similarity row is never
+        materialised. Runs in process.
         """
-        _, rows, _, counts, offsets = self.dataset.stacked_candidates()
-        pins = sorted(fixed.items())
-        for row, cand in pins:
-            if not 0 <= row < self.dataset.n_rows:
-                raise IndexError(
-                    f"pinned row {row} out of range for {self.dataset.n_rows} rows"
-                )
-            if not 0 <= cand < int(counts[row]):
-                raise IndexError(
-                    f"pinned candidate {cand} out of range for row {row} "
-                    f"with {int(counts[row])} candidates"
-                )
-        positions = [int(offsets[row]) + cand for row, cand in pins]
         results: dict[int, Any] = {}
         for (r0, r1), members in self._tiles_with(indices):
-            mins = np.full((r1 - r0, self.dataset.n_rows), np.inf)
-            maxs = np.full((r1 - r0, self.dataset.n_rows), -np.inf)
-            pinned = np.empty((r1 - r0, len(pins)))
-            for c0, c1 in self.plan.candidate_tiles:
-                block = self.kernel.pairwise(self._stacked[c0:c1], self.test_X[r0:r1])
-                merge_minmax_block(mins, maxs, block, rows, offsets, c0, c1)
-                for slot, position in enumerate(positions):
-                    if c0 <= position < c1:
-                        pinned[:, slot] = block[:, position - c0]
-            # After the merge: a pinned row's segment may span several blocks.
-            for slot, (row, _) in enumerate(pins):
-                mins[:, row] = maxs[:, row] = pinned[:, slot]
+            mins, maxs = stream_extremes(
+                self.dataset,
+                self.test_X[r0:r1],
+                self.kernel,
+                fixed,
+                self.plan.tile_candidates,
+            )
             for index in members:
                 results[index] = decide(index, mins[index - r0], maxs[index - r0])
             self.n_tiles_streamed += 1

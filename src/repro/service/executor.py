@@ -1,27 +1,25 @@
 """The executor worker process of the partitioned serving topology.
 
-One executor owns a set of candidate-row partitions
-(:class:`~repro.service.partition.RowPartition` spans) per dataset, each
-with **shard-local prepared state**: the partition's candidate sets are
-stacked into one matrix at registration time, so a query pays only the
-kernel call and the tally fold — never the per-request stacking the
-single-process batch path re-does on every flush. The gateway
-(:mod:`repro.service.gateway`) talks to the executor over a duplex
-:func:`multiprocessing.Pipe` with a strict request/response discipline;
-:func:`executor_main` is the child-process entry point.
+One executor owns a set of partitions per dataset: contiguous row spans
+(:class:`~repro.service.partition.RowPartition`), each held as ``(row
+start, IncompleteDataset slice)``. The slice is built once at
+registration from the candidate sets and labels the gateway ships, so its
+stacked candidates — the one preparation input of every scan — are
+prepared once and reused by every query against the partition. The
+gateway (:mod:`repro.service.gateway`) talks to the executor over a
+duplex :func:`multiprocessing.Pipe` with a strict request/response
+discipline; :func:`executor_main` is the child-process entry point.
 
-Two query operations exist, matching the gateway's two merge modes:
+Two query operations exist, one per kind of input the planner's table
+functions read (:data:`repro.core.planner.POINT_FUNCTIONS`):
 
-* ``minmax`` — per-row min/max similarity tallies over the partition's
-  rows, folded candidate-block by candidate-block with
-  :func:`repro.core.shards.merge_minmax_block` (the exact associative
-  algebra), pins applied locally as ``lo == hi == pinned similarity``.
-  Only ``(n_points, n_rows_local)`` floats ride back.
-* ``sims`` — the raw kernel similarity block over the partition's stacked
-  candidates (optionally with pinned rows restricted to their single
-  pinned candidate, mirroring ``restrict_row``). The gateway concatenates
-  blocks into the exact full similarity matrix and runs the ordinary scan
-  decisions on it.
+* ``minmax`` — per-row min/max similarity tallies over the slice, from
+  the one extremes fold :func:`repro.core.shards.stream_extremes`, with
+  the partition's pins collapsed to their pinned candidate. Only
+  ``(n_points, n_rows_local)`` floats ride back.
+* ``sims`` — :func:`~repro.core.scan.similarity_matrix` of the slice,
+  with the partition's pins restricted in by ``restrict_row``. The
+  gateway concatenates the blocks into the exact full similarity matrix.
 
 Every reply echoes ``ok``; failures inside an operation are caught and
 returned as ``{"ok": False, "error": ...}`` so one bad request cannot
@@ -39,132 +37,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.kernels import Kernel, resolve_kernel
-from repro.core.shards import DEFAULT_TILE_CANDIDATES, merge_minmax_block
+from repro.core.dataset import IncompleteDataset
+from repro.core.kernels import resolve_kernel
+from repro.core.scan import similarity_matrix
+from repro.core.shards import stream_extremes
 
-__all__ = ["ExecutorPartition", "serve_executor", "executor_main"]
-
-
-class ExecutorPartition:
-    """One partition's shard-local prepared state inside an executor.
-
-    Holds the partition's candidate sets (rows ``[row_start, row_start +
-    n_rows)`` of the dataset) plus the stacked matrix / offsets /
-    stacked-position→local-row map built once at registration — the
-    prepared state every query against this partition reuses.
-    """
-
-    __slots__ = (
-        "partition_id",
-        "row_start",
-        "candidate_sets",
-        "counts",
-        "offsets",
-        "stacked",
-        "rows",
-    )
-
-    def __init__(
-        self, partition_id: int, row_start: int, candidate_sets: list[np.ndarray]
-    ) -> None:
-        if not candidate_sets:
-            raise ValueError("a partition needs at least one row")
-        self.partition_id = int(partition_id)
-        self.row_start = int(row_start)
-        self.candidate_sets = [
-            np.ascontiguousarray(cands, dtype=np.float64) for cands in candidate_sets
-        ]
-        self.counts = np.array([c.shape[0] for c in self.candidate_sets], dtype=np.int64)
-        self.offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(self.counts)]
-        )
-        self.stacked = np.concatenate(self.candidate_sets, axis=0)
-        self.rows = np.repeat(
-            np.arange(len(self.candidate_sets), dtype=np.int64), self.counts
-        )
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.candidate_sets)
-
-    def _local_pins(self, pins: dict[int, int]) -> list[tuple[int, int]]:
-        """The pins that land in this partition, as (local row, candidate)."""
-        local = []
-        for row, cand in sorted(pins.items()):
-            offset = int(row) - self.row_start
-            if 0 <= offset < self.n_rows:
-                if not 0 <= int(cand) < int(self.counts[offset]):
-                    raise IndexError(
-                        f"pinned candidate {cand} out of range for row {row} "
-                        f"with {int(self.counts[offset])} candidates"
-                    )
-                local.append((offset, int(cand)))
-        return local
-
-    def minmax_tallies(
-        self,
-        test_X: np.ndarray,
-        kernel: Kernel,
-        pins: dict[int, int],
-        tile_candidates: int = DEFAULT_TILE_CANDIDATES,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row min/max similarity tallies for this partition's rows.
-
-        The :func:`repro.core.shards.merge_minmax_block` fold over this
-        partition's rows: bounded kernel blocks, the associative merge,
-        pins applied as ``lo == hi``. The returned
-        ``(n_points, n_rows)`` pair is ready for the gateway's
-        concatenation merge.
-        """
-        n_points = test_X.shape[0]
-        total = int(self.offsets[-1])
-        mins = np.full((n_points, self.n_rows), np.inf)
-        maxs = np.full((n_points, self.n_rows), -np.inf)
-        pin_items = self._local_pins(pins)
-        pin_positions = [
-            int(self.offsets[offset]) + cand for offset, cand in pin_items
-        ]
-        pinned_sims = np.empty((n_points, len(pin_items)))
-        step = max(int(tile_candidates), 1)
-        for c0 in range(0, total, step):
-            c1 = min(c0 + step, total)
-            block = kernel.pairwise(self.stacked[c0:c1], test_X)
-            merge_minmax_block(mins, maxs, block, self.rows, self.offsets, c0, c1)
-            for slot, position in enumerate(pin_positions):
-                if c0 <= position < c1:
-                    pinned_sims[:, slot] = block[:, position - c0]
-        for slot, (offset, _) in enumerate(pin_items):
-            mins[:, offset] = pinned_sims[:, slot]
-            maxs[:, offset] = pinned_sims[:, slot]
-        return mins, maxs
-
-    def sim_block(
-        self,
-        test_X: np.ndarray,
-        kernel: Kernel,
-        restrict: dict[int, int] | None = None,
-    ) -> np.ndarray:
-        """The raw similarity block over this partition's stacked candidates.
-
-        With ``restrict``, rows pinned there contribute only their pinned
-        candidate (the partition-local image of ``dataset.restrict_row``);
-        the block's columns then follow the restricted dataset's stacked
-        order. Slicing candidate rows never changes a similarity — each
-        one is computed from that candidate's features alone — so the
-        gateway's concatenation reproduces the single-process matrix
-        bit for bit.
-        """
-        if restrict:
-            local = dict(self._local_pins(restrict))
-            if local:
-                parts = [
-                    cands[local[offset] : local[offset] + 1]
-                    if offset in local
-                    else cands
-                    for offset, cands in enumerate(self.candidate_sets)
-                ]
-                return kernel.pairwise(np.concatenate(parts, axis=0), test_X)
-        return kernel.pairwise(self.stacked, test_X)
+__all__ = ["serve_executor", "executor_main"]
 
 
 def serve_executor(conn, executor_id: int) -> None:
@@ -234,10 +112,9 @@ def _handle(
         }
     if op == "register":
         partitions = {
-            int(spec["partition_id"]): ExecutorPartition(
-                int(spec["partition_id"]),
+            int(spec["partition_id"]): (
                 int(spec["row_start"]),
-                spec["candidate_sets"],
+                IncompleteDataset(spec["candidate_sets"], spec["labels"]),
             )
             for spec in message["partitions"]
         }
@@ -262,6 +139,7 @@ def _handle(
         # (no Span objects cross the pipe) and ids are restamped on
         # adoption, so nothing about the parent trace needs to ride along.
         trace = bool(message.get("trace"))
+        pins = dict(message.get("pins") or {})
         spans: list[dict] = []
         out: dict[int, Any] = {}
         for partition_id in message["partition_ids"]:
@@ -272,16 +150,20 @@ def _handle(
                     "stale": True,
                     "error": f"partition {partition_id} not prepared here",
                 }
+            row_start, dataset = partition
+            local = {
+                row - row_start: cand
+                for row, cand in pins.items()
+                if 0 <= row - row_start < dataset.n_rows
+            }
             started = time.perf_counter() if trace else 0.0
             wall = time.time() if trace else 0.0
             if op == "minmax":
-                out[int(partition_id)] = partition.minmax_tallies(
-                    test_X, kernel, dict(message.get("pins") or {})
-                )
+                out[int(partition_id)] = stream_extremes(dataset, test_X, kernel, local)
             else:
-                out[int(partition_id)] = partition.sim_block(
-                    test_X, kernel, restrict=message.get("restrict")
-                )
+                for row, cand in sorted(local.items()):
+                    dataset = dataset.restrict_row(row, cand)
+                out[int(partition_id)] = similarity_matrix(dataset, test_X, kernel)
             if trace:
                 spans.append(
                     {
@@ -297,8 +179,8 @@ def _handle(
                             "pid": os.getpid(),
                             "partition": int(partition_id),
                             "op": op,
-                            "n_rows": partition.n_rows,
-                            "n_candidates": int(partition.offsets[-1]),
+                            "n_rows": dataset.n_rows,
+                            "n_candidates": int(dataset.stacked_candidates()[0].shape[0]),
                             "n_points": int(test_X.shape[0]),
                         },
                         "children": [],

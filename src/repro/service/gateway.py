@@ -8,21 +8,25 @@ consistent-hash based (:class:`~repro.service.partition.HashRing` over
 ``"name/partition"`` keys with bounded load), so the partition → executor
 map is deterministic and stable across gateway restarts.
 
-A query scatters to the executors owning the dataset's partitions — one
-pipe round trip per executor, issued concurrently — and the gateway
-merges the per-partition results into the full answer:
+A query runs the planner's execution skeleton
+(:func:`repro.core.planner._execute_points`) like every in-process
+backend; the gateway is just one more ``evaluate`` over its per-point
+table, producing the inputs the table functions read by scatter-gather —
+one pipe round trip per executor, issued concurrently:
 
-* binary ``certain_label`` / ``check`` gather per-row **min/max tallies**
-  (folded executor-side with the associative algebra of
-  :func:`repro.core.shards.merge_minmax_block`), concatenate them across
-  the disjoint row spans, and decide with the reference
-  :func:`~repro.core.shards.binary_minmax_label` — bit-identical to the
-  single-process MinMax path.
-* every other flavor × kind gathers raw **similarity blocks** over each
-  partition's stacked candidates; concatenation in partition order
-  restores the exact global similarity matrix (each similarity depends
-  only on its own candidate's features), and the gateway runs the very
-  same scan decisions the in-process backends run.
+* a table entry that reads only per-row extremes
+  (:data:`~repro.core.planner.EXTREME_FUNCTIONS`, binary certainty)
+  gathers per-row **min/max tallies** (the executors' shared extremes
+  fold), concatenates them across the disjoint row spans, and decides
+  from the merged ``(mins, maxs)``;
+* every other entry gathers **similarity blocks** over each partition's
+  stacked candidates; concatenation in partition order restores the
+  exact global similarity matrix (each similarity depends only on its
+  own candidate's features), and the table function runs on each merged
+  row.
+
+Values, prune modes and stats therefore match local execution by
+construction, not by a parallel re-implementation.
 
 Robustness is part of the contract, not an afterthought: every executor
 request carries a timeout and a bounded retry budget; a dead or wedged
@@ -44,21 +48,16 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.engine import counts_from_scan
-from repro.core.label_uncertainty import label_uncertain_counts
+from repro.core.dataset import IncompleteDataset
 from repro.core.planner import (
+    EXTREME_FUNCTIONS,
     CPQuery,
+    ExecutionOptions,
+    PointTask,
     QueryPlan,
     QueryResult,
-    _conditioned_weights,
-    _counts_to_kind,
-    _restricted_dataset,
-    _weighted_to_kind,
+    _execute_points,
 )
-from repro.core.scan import scan_from_sims
-from repro.core.shards import binary_minmax_label
-from repro.core.topk_prob import topk_inclusion_counts
-from repro.core.weighted import weighted_prediction_probabilities
 from repro.obs import Observability
 from repro.obs.tracing import trace_span
 from repro.service.executor import executor_main
@@ -126,12 +125,12 @@ class _ExecutorHandle:
 class _DistributedDataset:
     """The gateway's authoritative record of one distributed dataset.
 
-    Keeps the candidate sets themselves (references, not copies) so a
-    respawned executor's partitions can be re-prepared without consulting
-    the registry.
+    Keeps the dataset's feature side itself (a reference, not a copy) so
+    a respawned executor's partitions can be re-prepared without
+    consulting the registry.
     """
 
-    __slots__ = ("name", "fingerprint", "partitions", "assignment", "candidate_sets")
+    __slots__ = ("name", "fingerprint", "partitions", "assignment", "features")
 
     def __init__(
         self,
@@ -139,13 +138,13 @@ class _DistributedDataset:
         fingerprint: str,
         partitions: tuple[RowPartition, ...],
         assignment: dict[int, int],
-        candidate_sets: list[np.ndarray],
+        features: IncompleteDataset,
     ) -> None:
         self.name = name
         self.fingerprint = fingerprint
         self.partitions = partitions
         self.assignment = assignment
-        self.candidate_sets = candidate_sets
+        self.features = features
 
     def specs_for(self, executor_id: int) -> list[dict]:
         """The ``register`` payload entries owned by ``executor_id``."""
@@ -153,7 +152,11 @@ class _DistributedDataset:
             {
                 "partition_id": partition.index,
                 "row_start": partition.start,
-                "candidate_sets": self.candidate_sets[partition.start : partition.stop],
+                "candidate_sets": [
+                    self.features.candidates(row)
+                    for row in range(partition.start, partition.stop)
+                ],
+                "labels": self.features.labels[partition.start : partition.stop],
             }
             for partition in self.partitions
             if self.assignment[partition.index] == executor_id
@@ -281,7 +284,7 @@ class Gateway:
 
         Kills any previous incarnation, opens a fresh pipe, and re-prepares
         every partition the consistent placement assigns to this executor
-        from the gateway's authoritative candidate sets. Only this
+        from the gateway's authoritative dataset record. Only this
         executor's lock is held — queries on surviving executors keep
         flowing while the respawn runs.
         """
@@ -458,7 +461,6 @@ class Gateway:
         self, name: str, dataset, fingerprint: str
     ) -> _DistributedDataset:
         """Partition, place, and push one dataset; holds ``_dist_lock``."""
-        candidate_sets = [dataset.candidates(row) for row in range(dataset.n_rows)]
         partitions = plan_row_partitions(
             dataset.n_rows, self.n_executors * self.partitions_per_executor
         )
@@ -469,9 +471,10 @@ class Gateway:
             partition.index: placement[f"{name}/{partition.index}"]
             for partition in partitions
         }
-        dist = _DistributedDataset(
-            name, fingerprint, partitions, assignment, candidate_sets
-        )
+        # Executors hold plain feature slices: a label-uncertain dataset
+        # ships its feature side (similarities never read labels).
+        features = getattr(dataset, "feature_dataset", dataset)
+        dist = _DistributedDataset(name, fingerprint, partitions, assignment, features)
         for handle in self._handles:
             specs = dist.specs_for(handle.executor_id)
             if specs:
@@ -584,12 +587,18 @@ class Gateway:
     # Query execution
     # ------------------------------------------------------------------
     def execute_query(
-        self, name: str, query: CPQuery, fingerprint: str | None = None
+        self,
+        name: str,
+        query: CPQuery,
+        fingerprint: str | None = None,
+        options: ExecutionOptions | None = None,
     ) -> QueryResult:
         """Execute ``query`` partition-parallel; bit-identical to local.
 
         ``query.dataset`` is the authoritative content; it is distributed
-        (or re-distributed, if its fingerprint moved) on first use. Raises
+        (or re-distributed, if its fingerprint moved) on first use.
+        ``options`` are the ones local execution would get: they pick the
+        same table entry (prune mode, scan kernel). Raises
         :class:`GatewayUnavailable` when partitioned execution cannot
         proceed — the caller's cue to execute locally instead.
         """
@@ -597,6 +606,25 @@ class Gateway:
             raise GatewayUnavailable("gateway is closed")
         dist = self.ensure_distributed(name, query.dataset, fingerprint)
         self._c_queries.inc()
+        mode = "none"
+
+        def evaluate(task: PointTask, fn, missing: list[int]) -> dict:
+            nonlocal mode
+            test_X = query.test_X[missing]
+            decide = EXTREME_FUNCTIONS.get(fn)
+            if decide is not None:
+                mode = "minmax"
+                mins, maxs = self._gather_extremes(dist, task, test_X)
+                return {
+                    index: decide(task, index, mins[slot], maxs[slot])
+                    for slot, index in enumerate(missing)
+                }
+            mode = "scan"
+            sims = self._gather_sims(dist, task, test_X)
+            return {
+                index: fn(task, index, sims[slot]) for slot, index in enumerate(missing)
+            }
+
         with trace_span(
             "gateway.execute",
             dataset=name,
@@ -605,10 +633,9 @@ class Gateway:
             n_points=query.n_points,
             n_partitions=len(dist.partitions),
         ) as span:
-            if query.flavor == "binary" and query.kind in ("certain_label", "check"):
-                values, mode = self._execute_minmax(dist, query), "minmax"
-            else:
-                values, mode = self._execute_scan(dist, query), "scan"
+            _, values, stats = _execute_points(
+                query, options or ExecutionOptions(), None, evaluate
+            )
             span.set(merge_mode=mode)
         n_owning = len({dist.assignment[p.index] for p in dist.partitions})
         plan = QueryPlan(
@@ -619,123 +646,50 @@ class Gateway:
             ),
             cost=0.0,
         )
-        stats = {
-            "gateway": True,
-            "merge_mode": mode,
-            "n_partitions": len(dist.partitions),
-            "n_executors": self.n_executors,
-            "n_points": query.n_points,
-        }
+        stats.update(
+            gateway=True,
+            merge_mode=mode,
+            n_partitions=len(dist.partitions),
+            n_executors=self.n_executors,
+        )
+        # The prune counters carry their own per-point n_points.
+        stats.setdefault("n_points", query.n_points)
         return QueryResult(query=query, plan=plan, values=values, stats=stats)
 
-    def _execute_minmax(
-        self, dist: _DistributedDataset, query: CPQuery
-    ) -> list:
-        """Binary Q1 via gathered per-row min/max tallies (pins pre-applied)."""
-        tallies = self._scatter(
-            dist,
-            "minmax",
-            {
-                "test_X": query.test_X,
-                "kernel": query.kernel,
-                "pins": query.pins_dict(),
-            },
-        )
-        lo, hi = merge_minmax_tallies(tallies)
-        labels = query.dataset.labels
-        if lo.shape[1] != labels.shape[0]:
+    def _gather_extremes(
+        self, dist: _DistributedDataset, task: PointTask, test_X: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Merged per-row ``(mins, maxs)`` tallies, the task's pins collapsed."""
+        payload = {"test_X": test_X, "kernel": task.query.kernel, "pins": task.fixed}
+        mins, maxs = merge_minmax_tallies(self._scatter(dist, "minmax", payload))
+        if mins.shape[1] != task.dataset.n_rows:
             raise GatewayError(
-                f"merged tallies cover {lo.shape[1]} rows, dataset has "
-                f"{labels.shape[0]}"
+                f"merged tallies cover {mins.shape[1]} rows, dataset has "
+                f"{task.dataset.n_rows}"
             )
-        decisions = [
-            binary_minmax_label(lo[index], hi[index], labels, query.k)
-            for index in range(query.n_points)
-        ]
-        if query.kind == "certain_label":
-            return decisions
-        return [label == query.label for label in decisions]
+        return mins, maxs
 
-    def _execute_scan(self, dist: _DistributedDataset, query: CPQuery) -> list:
-        """Every other flavor × kind: gather similarity blocks, merge, scan.
+    def _gather_sims(
+        self, dist: _DistributedDataset, task: PointTask, test_X: np.ndarray
+    ) -> np.ndarray:
+        """The merged similarity matrix over the task dataset's candidates.
 
-        Mirrors :class:`~repro.core.shards.ShardedBackend`'s flavor
-        dispatch: same scan construction, same per-point evaluators, same
-        kind conversions — only the similarity matrix arrives partition by
-        partition instead of being computed here.
+        Flavors without native pin support (``topk``,
+        ``label_uncertainty``) build their task over a copy of the dataset
+        with the pins restricted in; executors restrict their slices the
+        same way, so the merged columns follow that copy's stacked order.
         """
-        flavor = query.flavor
-        pins = query.pins_dict()
-        restricted = None
-        if flavor in ("binary", "multiclass", "weighted"):
-            scan_dataset = query.dataset
-            restrict = None
-        elif flavor == "topk":
-            restricted = _restricted_dataset(query)
-            scan_dataset = restricted
-            restrict = pins or None
-        else:  # label_uncertainty
-            restricted = _restricted_dataset(query)
-            scan_dataset = restricted.feature_dataset
-            restrict = pins or None
-        sims = merge_sim_blocks(
-            self._scatter(
-                dist,
-                "sims",
-                {"test_X": query.test_X, "kernel": query.kernel, "restrict": restrict},
-            )
-        )
-        n_candidates = scan_dataset.stacked_candidates()[1].shape[0]
+        query = task.query
+        restrict = None if task.subject is query.dataset else query.pins_dict()
+        payload = {"test_X": test_X, "kernel": query.kernel, "pins": restrict}
+        sims = merge_sim_blocks(self._scatter(dist, "sims", payload))
+        n_candidates = task.dataset.stacked_candidates()[0].shape[0]
         if sims.shape[1] != n_candidates:
             raise GatewayError(
                 f"merged similarity blocks cover {sims.shape[1]} candidates, "
                 f"the scan layout expects {n_candidates}"
             )
-        scans = (
-            scan_from_sims(scan_dataset, sims[index]) for index in range(query.n_points)
-        )
-        if flavor in ("binary", "multiclass"):
-            n_labels = query.dataset.n_labels
-            per_point = [
-                counts_from_scan(scan, query.k, n_labels, pins) for scan in scans
-            ]
-            return _counts_to_kind(query, per_point)
-        if flavor == "weighted":
-            weights = _conditioned_weights(query)
-            probs = [
-                weighted_prediction_probabilities(
-                    query.dataset,
-                    query.test_X[index],
-                    k=query.k,
-                    weights=weights,
-                    kernel=query.kernel,
-                    scan=scan,
-                )
-                for index, scan in enumerate(scans)
-            ]
-            return _weighted_to_kind(query, probs)
-        if flavor == "topk":
-            return [
-                topk_inclusion_counts(
-                    restricted,
-                    query.test_X[index],
-                    k=query.k,
-                    kernel=query.kernel,
-                    scan=scan,
-                )
-                for index, scan in enumerate(scans)
-            ]
-        per_point = [
-            label_uncertain_counts(
-                restricted,
-                query.test_X[index],
-                k=query.k,
-                kernel=query.kernel,
-                scan=scan,
-            )
-            for index, scan in enumerate(scans)
-        ]
-        return _counts_to_kind(query, per_point)
+        return sims
 
     # ------------------------------------------------------------------
     # Observability

@@ -280,10 +280,20 @@ class _NotFound(Exception):
     """Internal: an unrouted path (mapped to a structured 404)."""
 
 
+class _PayloadTooLarge(Exception):
+    """Internal: a declared body above :data:`MAX_BODY_BYTES` (a 413)."""
+
+
+#: The largest request body the server reads. A larger ``Content-Length``
+#: is refused with 413 before a byte of the body is read.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+
 #: Exception → (HTTP status, error code). Order matters: subclasses first.
 _ERROR_MAP: tuple[tuple[type[BaseException], int, str], ...] = (
     (AdmissionError, 429, "overloaded"),
     (_NotFound, 404, "not_found"),
+    (_PayloadTooLarge, 413, "payload_too_large"),
     (UnknownDatasetError, 404, "unknown_dataset"),
     (DuplicateDatasetError, 409, "registry_conflict"),
     (RegistryError, 400, "invalid_request"),
@@ -356,6 +366,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         if getattr(self, "_trace_id", None):
             self.send_header("X-Trace-Id", self._trace_id)
         for name, value in (headers or {}).items():
@@ -364,7 +376,20 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot carry another
+            # request; and rfile.read(-1) would block until the client hangs up.
+            self.close_connection = True
+            if length < 0:
+                raise WireError(f"malformed Content-Length {declared!r}")
+            raise _PayloadTooLarge(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b""
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else None

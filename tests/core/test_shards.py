@@ -11,6 +11,9 @@ validation. The cross-backend value checks live in
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
@@ -22,15 +25,16 @@ from repro.core.planner import (
     get_backend,
     make_query,
 )
-from repro.core.minmax import row_extremes
+from repro.core.minmax import extreme_winners, row_extremes
 from repro.core.shards import (
     DEFAULT_MEMORY_BUDGET_BYTES,
     ShardedBackend,
     ShardedExecutor,
     TilePlan,
-    binary_minmax_label,
     plan_tiles,
 )
+from repro.service.executor import serve_executor
+from repro.service.partition import merge_minmax_tallies
 
 
 def dataset_with_ragged_rows(seed: int = 0, n_rows: int = 8, n_labels: int = 2):
@@ -169,6 +173,54 @@ def streamed_extremes(dataset, test_X, pins, tile_rows, tile_candidates):
     )
 
 
+def executor_minmax(dataset, test_X, pins, cuts):
+    """The executor ``minmax`` reply over partitions cut at ``cuts``.
+
+    Runs the executor request loop on a thread over a real pipe: one
+    ``register`` of the row slices, one ``minmax`` across all of them.
+    """
+    bounds = [0, *cuts, dataset.n_rows]
+    specs = [
+        {
+            "partition_id": index,
+            "row_start": start,
+            "candidate_sets": [dataset.candidates(row) for row in range(start, stop)],
+            "labels": dataset.labels[start:stop],
+        }
+        for index, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    conn, child = multiprocessing.Pipe()
+    worker = threading.Thread(target=serve_executor, args=(child, 0), daemon=True)
+    worker.start()
+    try:
+        conn.send({"op": "register", "name": "d", "fingerprint": "f", "partitions": specs})
+        assert conn.recv()["ok"]
+        conn.send(
+            {
+                "op": "minmax",
+                "name": "d",
+                "fingerprint": "f",
+                "partition_ids": [spec["partition_id"] for spec in specs],
+                "test_X": test_X,
+                "kernel": None,
+                "pins": pins,
+            }
+        )
+        reply = conn.recv()
+        conn.send({"op": "shutdown"})
+        conn.recv()
+    finally:
+        worker.join(timeout=10)
+        conn.close()
+    assert not worker.is_alive()
+    return reply, len(specs)
+
+
+def certain_from_extremes(mins, maxs, labels, k):
+    winners = extreme_winners(mins, maxs, labels, k, 2)
+    return winners[0] if len(winners) == 1 else None
+
+
 class TestMinMaxMerge:
     """The streamed min/max path: exact merging, no full similarity row."""
 
@@ -183,7 +235,9 @@ class TestMinMaxMerge:
             lo, hi = row_extremes(dense[i], offsets)
             assert np.array_equal(lo, streamed[i][0])
             assert np.array_equal(hi, streamed[i][1])
-        labels = [binary_minmax_label(*streamed[i], dataset.labels, 2) for i in range(4)]
+        labels = [
+            certain_from_extremes(*streamed[i], dataset.labels, 2) for i in range(4)
+        ]
         reference = execute_query(
             make_query(dataset, test_X, kind="certain_label", k=2),
             backend="sequential",
@@ -206,7 +260,7 @@ class TestMinMaxMerge:
             assert np.array_equal(hi, streamed[i][1])
         query = make_query(dataset, test_X, kind="certain_label", k=2, pins=pins)
         reference = execute_query(query, backend="sequential").values
-        assert [binary_minmax_label(*streamed[i], dataset.labels, 2)
+        assert [certain_from_extremes(*streamed[i], dataset.labels, 2)
                 for i in range(3)] == reference
         sharded = execute_query(
             query,
@@ -216,6 +270,33 @@ class TestMinMaxMerge:
             ),
         ).values
         assert sharded == reference
+
+    @pytest.mark.parametrize("cuts", [(3,), (2, 5), (1, 2, 3, 4, 5, 6, 7)])
+    def test_executor_tallies_match_dense(self, cuts):
+        # The executor op runs the same fold over row slices; pins land in
+        # more than one partition and map to slice-local rows.
+        dataset = dataset_with_ragged_rows(10)
+        test_X = np.random.default_rng(10).normal(size=(3, 2))
+        dirty = dataset.uncertain_rows()
+        pins = {dirty[0]: 0, dirty[-1]: 1}
+        assert sum(1 for cut in cuts if dirty[0] < cut <= dirty[-1]) >= 1
+        reply, n_partitions = executor_minmax(dataset, test_X, pins, cuts)
+        assert reply["ok"], reply.get("error")
+        mins, maxs = merge_minmax_tallies(
+            [reply["partitions"][index] for index in range(n_partitions)]
+        )
+        dense = PreparedBatch(dataset, test_X, k=2).sims_matrix
+        lo, hi = row_extremes(dense, dataset.stacked_candidates()[4], pins)
+        assert np.array_equal(mins, lo)
+        assert np.array_equal(maxs, hi)
+
+    def test_executor_rejects_out_of_range_pin(self):
+        dataset = dataset_with_ragged_rows(10)
+        row = dataset.uncertain_rows()[-1]
+        reply, _ = executor_minmax(dataset, np.zeros((1, 2)), {row: 99}, (3,))
+        assert not reply["ok"]
+        assert reply["error"].startswith("IndexError")
+        assert "out of range" in reply["error"]
 
     def test_binary_decisions_never_build_full_rows(self, monkeypatch):
         dataset = dataset_with_ragged_rows(9)

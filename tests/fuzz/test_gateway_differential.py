@@ -38,13 +38,20 @@ def _assert_same_values(gathered, local, where: str) -> None:
 
 
 class TestGatewayDifferential:
+    @pytest.mark.parametrize("prune", ["auto", "off"])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_partitioned_values_match_local(self, gateway, seed):
+    def test_partitioned_values_match_local(self, gateway, seed, prune):
+        # Both prune modes: the gateway runs the same table entry local
+        # execution picks (the "pruned" and "scan" paths).
         query, _oracle, description = random_case(seed)
-        local = execute_query(query, options=ExecutionOptions(cache=False))
-        gathered = gateway.execute_query(f"fuzz-{seed}", query)
+        options = ExecutionOptions(cache=False, prune=prune)
+        local = execute_query(query, options=options)
+        gathered = gateway.execute_query(f"fuzz-{seed}", query, options=options)
         assert gathered.plan.backend == "gateway"
-        _assert_same_values(gathered.values, local.values, description)
+        assert gathered.stats["prune"] == local.stats["prune"]
+        _assert_same_values(
+            gathered.values, local.values, f"{description} prune={prune}"
+        )
 
     def test_seeds_cover_every_flavor(self):
         assert {random_case(seed)[0].flavor for seed in SEEDS} == set(FLAVOR_CYCLE)

@@ -194,6 +194,28 @@ class TestBrokerIntegration:
             broker.close()
         assert not broker.gateway.metrics()["executors"]["0"]["alive"]
 
+    @pytest.mark.parametrize("prune", ["auto", "off"])
+    def test_explain_through_the_gateway_carries_the_plan_stats(self, prune):
+        registry = DatasetRegistry()
+        registry.register("d", small_dataset(), k=2)
+        broker = QueryBroker(
+            registry, window_s=0.005, cache=False, gateway=Gateway(2)
+        )
+        try:
+            response = broker.query(
+                "d", np.zeros((2, 2)), kind="counts", prune=prune, explain=True
+            )
+            assert response["backend"] == "gateway"
+            stats = response["explain"]["stats"]
+            assert stats["flavor"] == "binary"
+            assert stats["kind"] == "counts"
+            assert stats["prune"] is (prune == "auto")
+            assert stats["gateway"] is True
+            assert stats["merge_mode"] == "scan"
+            assert stats["n_partitions"] == 4 and stats["n_executors"] == 2
+        finally:
+            broker.close()
+
     def test_broker_falls_back_locally_when_the_gateway_is_gone(self):
         registry = DatasetRegistry()
         registry.register("d", small_dataset(), k=2)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from urllib import error, request
+import socket
+from urllib import error, parse, request
 
 import numpy as np
 import pytest
@@ -74,6 +75,28 @@ def post_raw(server, path: str, body: bytes, content_type: str = "application/js
             return response.status, json.loads(response.read().decode("utf-8"))
     except error.HTTPError as exc:
         return exc.code, json.loads(exc.read().decode("utf-8"))
+
+
+def post_declaring_length(server, declared: str):
+    """POST to /query over a raw socket with a forged ``Content-Length``
+    and no body; returns (status, parsed JSON body, connection closed)."""
+    url = parse.urlsplit(server.url)
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.settimeout(5)
+        sock.sendall(
+            (
+                "POST /query HTTP/1.1\r\n"
+                f"Host: {url.netloc}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {declared}\r\n\r\n"
+            ).encode("ascii")
+        )
+        response = b""
+        while chunk := sock.recv(65536):  # a socket.timeout fails the test
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(body.decode("utf-8")), b"connection: close" in head.lower()
 
 
 class TestHappyPaths:
@@ -178,6 +201,26 @@ class TestErrorPaths:
         assert status == 400
         assert payload["error"]["code"] == "malformed_payload"
         assert "JSON" in payload["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "declared,status,code",
+        [
+            ("-1", 400, "malformed_payload"),
+            ("abc", 400, "malformed_payload"),
+            ("1000000000000", 413, "payload_too_large"),
+        ],
+    )
+    def test_hostile_content_length_is_refused_promptly(
+        self, service, declared, status, code
+    ):
+        # The server answers without reading the (absent) body and closes
+        # the connection, so the handler thread is never pinned.
+        server, client = service
+        got_status, payload, closed = post_declaring_length(server, declared)
+        assert got_status == status
+        assert payload["error"]["code"] == code
+        assert closed
+        assert client.healthz()["status"] == "ok"
 
     def test_non_object_body_is_400(self, service):
         server, client = service
