@@ -36,8 +36,6 @@ any accumulation order.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +43,7 @@ from typing import Any
 
 from repro.codd.algebra import AggregateSpec
 from repro.codd.relation import Relation
+from repro.utils.lru import LRU
 
 __all__ = [
     "MAX_AGGREGATE_STATES",
@@ -129,9 +128,8 @@ class _PreparedAggregation:
     possible: Relation
 
 
-_CACHE: OrderedDict[Any, _PreparedAggregation] = OrderedDict()
-_CACHE_LOCK = threading.Lock()
 _CACHE_SIZE = 32
+_CACHE = LRU(_CACHE_SIZE)
 
 
 def _row_options(flat) -> list[tuple[list[tuple[Any, ...]], bool]]:
@@ -179,8 +177,6 @@ def prepare_aggregation(
     Raises :class:`repro.codd.joins._Decline` when the fast path would be
     inexact or unaffordable — callers treat that as "not supported".
     """
-    from repro.codd.joins import _Decline
-
     key = (
         flat.table.fingerprint(),
         flat.working,
@@ -189,10 +185,17 @@ def prepare_aggregation(
         group_by,
         aggregates,
     )
-    with _CACHE_LOCK:
-        if key in _CACHE:
-            _CACHE.move_to_end(key)
-            return _CACHE[key]
+    return _CACHE.get_or_build(
+        key, lambda: _build_aggregation(flat, group_by, aggregates)
+    )
+
+
+def _build_aggregation(
+    flat,
+    group_by: tuple[str, ...],
+    aggregates: tuple[AggregateSpec, ...],
+) -> _PreparedAggregation:
+    from repro.codd.joins import _Decline
 
     try:
         rows = _row_options(flat)
@@ -264,16 +267,10 @@ def prepare_aggregation(
         if len(finalized) == 1 and (not group_by or certain_present.get(group)):
             certain_rows |= finalized
 
-    prepared = _PreparedAggregation(
+    return _PreparedAggregation(
         certain=Relation(out_schema, certain_rows),
         possible=Relation(out_schema, possible_rows),
     )
-    with _CACHE_LOCK:
-        _CACHE[key] = prepared
-        _CACHE.move_to_end(key)
-        while len(_CACHE) > _CACHE_SIZE:
-            _CACHE.popitem(last=False)
-    return prepared
 
 
 def aggregate_answers(

@@ -54,7 +54,6 @@ values for any query they all support
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from collections.abc import Mapping
@@ -95,6 +94,7 @@ from repro.codd.vectorized import (
     possible_answers_vectorized,
     unwrap_select_project,
 )
+from repro.utils.lru import LRU
 
 __all__ = [
     "MODES",
@@ -407,9 +407,7 @@ class VectorizedCoddBackend(CoddAnswerBackend):
     def __init__(self, max_prepared: int = 8) -> None:
         if max_prepared < 1:
             raise ValueError(f"max_prepared must be positive, got {max_prepared}")
-        self._prepared: OrderedDict[str, StackedTable] = OrderedDict()
-        self._max_prepared = max_prepared
-        self._lock = threading.Lock()
+        self._prepared = LRU(max_prepared)
 
     def supports(self, query, database):
         bound = _single_scan_table(query, database)
@@ -444,19 +442,9 @@ class VectorizedCoddBackend(CoddAnswerBackend):
                 or handed.fingerprint() == table.fingerprint()
             ):
                 return handed
-        key = table.fingerprint()
-        with self._lock:
-            stacked = self._prepared.get(key)
-            if stacked is not None:
-                self._prepared.move_to_end(key)
-                return stacked
-        stacked = StackedTable(table)
-        with self._lock:
-            self._prepared[key] = stacked
-            self._prepared.move_to_end(key)
-            while len(self._prepared) > self._max_prepared:
-                self._prepared.popitem(last=False)
-        return stacked
+        return self._prepared.get_or_build(
+            table.fingerprint(), lambda: StackedTable(table)
+        )
 
     def _evaluate_flat(
         self,

@@ -43,8 +43,6 @@ so the vectorized and rowwise backends share every decision above.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, replace
 from typing import Any
@@ -77,6 +75,7 @@ from repro.codd.plan import (
     lower,
 )
 from repro.codd.relation import Relation
+from repro.utils.lru import LRU
 
 __all__ = [
     "MAX_JOIN_PRUNE_COMPLETIONS",
@@ -522,45 +521,38 @@ def _analyze(node: PlanNode, database: Mapping[str, CoddTable], max_cells: int) 
 # Planning calls supports/estimate_cost/answer back to back on the same
 # query, and two backends each do so; cache the (potentially expensive)
 # analysis keyed by query + table fingerprints.
-_ANALYSIS_CACHE: OrderedDict[Any, Composite | None] = OrderedDict()
-_ANALYSIS_LOCK = threading.Lock()
 _ANALYSIS_CACHE_SIZE = 32
+_ANALYSIS_CACHE = LRU(_ANALYSIS_CACHE_SIZE)
 
 
 def composite_analysis(
     query: Query, database: Mapping[str, CoddTable], max_cells: int
 ) -> Composite | None:
     """Analyze ``query`` for fast evaluation; ``None`` when it must fall
-    back to naive enumeration (shape, size, or exactness decline)."""
-    try:
-        key = (
-            query,
-            max_cells,
-            tuple(sorted((n, t.fingerprint()) for n, t in database.items())),
-        )
-    except TypeError:  # unhashable literal somewhere in the query
-        key = None
-    if key is not None:
-        with _ANALYSIS_LOCK:
-            if key in _ANALYSIS_CACHE:
-                _ANALYSIS_CACHE.move_to_end(key)
-                return _ANALYSIS_CACHE[key]
+    back to naive enumeration (shape, size, or exactness decline). A query
+    with an unhashable literal is analysed afresh on every call."""
+    key = (
+        query,
+        max_cells,
+        tuple(sorted((n, t.fingerprint()) for n, t in database.items())),
+    )
+    return _ANALYSIS_CACHE.get_or_build(
+        key, lambda: _analyze_query(query, database, max_cells)
+    )
+
+
+def _analyze_query(
+    query: Query, database: Mapping[str, CoddTable], max_cells: int
+) -> Composite | None:
     try:
         plan = LogicalPlan.from_query(query, LogicalPlan.catalog_of(database))
-        result: Composite | None = _analyze(plan.root, database, max_cells)
+        return _analyze(plan.root, database, max_cells)
     except _Decline:
-        result = None
+        return None
     except (KeyError, ValueError):
         # Unknown relations/attributes or incompatible schemas: let the
         # naive path raise the canonical error.
-        result = None
-    if key is not None:
-        with _ANALYSIS_LOCK:
-            _ANALYSIS_CACHE[key] = result
-            _ANALYSIS_CACHE.move_to_end(key)
-            while len(_ANALYSIS_CACHE) > _ANALYSIS_CACHE_SIZE:
-                _ANALYSIS_CACHE.popitem(last=False)
-    return result
+        return None
 
 
 # ----------------------------------------------------------------------

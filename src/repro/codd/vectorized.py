@@ -341,8 +341,9 @@ def _term_operand(
                 f"attribute {term.name!r} not in schema {tuple(schema)}"
             ) from None
         return stacked.columns[index], stacked.numeric_column(index)
-    value = term.value
-    return value, float(value) if _is_float_exact(value) else None
+    value = np.empty((), dtype=object)
+    value[()] = term.value  # one object: a list literal must not broadcast
+    return value, float(term.value) if _is_float_exact(term.value) else None
 
 
 def _comparison_mask(

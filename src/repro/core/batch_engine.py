@@ -15,11 +15,12 @@ This module is the substrate the planner's backends share
   task queue, inheriting the prepared arrays read-only through
   copy-on-write fork memory, so nothing is pickled per task except the
   tiny result values.
-* :class:`QueryResultCache` is an LRU result cache keyed by
-  ``(dataset fingerprint, test-point hash, k, kernel, pins, ...)``.
-  Repeated queries — the common case in CPClean's sequential cleaning
-  loop, which re-checks validation certainty round after round — are
-  served without recomputation, and any change to the dataset changes its
+* :data:`QueryResultCache`, an alias of :class:`repro.utils.lru.LRU`,
+  holds results keyed by ``(dataset fingerprint, test-point hash, k,
+  kernel, pins, ...)``. Repeated queries — the common case in CPClean's
+  sequential cleaning loop, which re-checks validation certainty round
+  after round — are served without recomputation, and any change to the
+  dataset changes its
   :meth:`~repro.core.dataset.IncompleteDataset.fingerprint`, so stale
   entries can never be returned.
 * :class:`BatchQueryExecutor`, :func:`batch_q2_counts` and
@@ -38,7 +39,6 @@ import os
 import sys
 import threading
 import uuid
-from collections import OrderedDict
 from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
@@ -48,6 +48,7 @@ from repro.core.dataset import IncompleteDataset
 from repro.core.kernels import Kernel, resolve_kernel
 from repro.core.prepared import PreparedQuery
 from repro.core.scan import ScanOrder, scan_from_sims, similarity_matrix
+from repro.utils.lru import LRU
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = [
@@ -60,6 +61,10 @@ __all__ = [
     "resolve_n_jobs",
     "kernel_cache_key",
 ]
+
+#: The batch backend's result cache: the one :class:`~repro.utils.lru.LRU`,
+#: under the name it has always been exported as.
+QueryResultCache = LRU
 
 
 # ---------------------------------------------------------------------------
@@ -144,91 +149,6 @@ def fanout_map(
                 return list(pool.imap_unordered(worker, items, chunksize=chunksize))
         finally:
             _FANOUT_STATE = None
-
-
-# ---------------------------------------------------------------------------
-# The LRU result cache
-# ---------------------------------------------------------------------------
-
-_MISS = object()
-
-
-class QueryResultCache:
-    """A bounded LRU cache for CP query results.
-
-    Keys are opaque tuples built by :class:`BatchQueryExecutor` from the
-    dataset :meth:`~repro.core.dataset.IncompleteDataset.fingerprint`, the
-    test-point hash, ``k``, the kernel and the pinned-row mapping — so a
-    hit is only possible for a genuinely identical query, and any change to
-    the dataset content invalidates all of its entries by construction.
-
-    One instance can safely be shared across executors (e.g. one cache for
-    a whole cleaning session), including across threads — this is the
-    contract :class:`repro.service.broker.QueryBroker` relies on. Every
-    state transition (lookup + recency bump, insert, LRU eviction, clear,
-    the hit/miss counters) happens under one internal lock, so concurrent
-    readers and writers can never observe a half-applied eviction or lose
-    a counter update; ``tests/core/test_batch_engine.py`` hammers one
-    instance from many threads to hold the class to this.
-    """
-
-    def __init__(self, maxsize: int = 4096) -> None:
-        self.maxsize = check_positive_int(maxsize, "maxsize")
-        self._entries: OrderedDict[tuple, Any] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, key: tuple, default: Any = None) -> Any:
-        """The cached value for ``key`` (marking it recently used), or ``default``."""
-        with self._lock:
-            value = self._entries.get(key, _MISS)
-            if value is _MISS:
-                self.misses += 1
-                return default
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key: tuple, value: Any) -> None:
-        """Insert/refresh an entry, evicting the least recently used on overflow."""
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop all entries and reset the hit/miss counters."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when never queried)."""
-        with self._lock:
-            hits, misses = self.hits, self.misses
-        total = hits + misses
-        return hits / total if total else 0.0
-
-    def stats(self) -> dict[str, int | float]:
-        """A snapshot of size and hit/miss counters, for reports and tests."""
-        with self._lock:
-            size, hits, misses = len(self._entries), self.hits, self.misses
-        total = hits + misses
-        return {
-            "size": size,
-            "maxsize": self.maxsize,
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / total if total else 0.0,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +321,8 @@ class BatchQueryExecutor:
         self.kernel = prepared.kernel
         self.n_jobs = resolve_n_jobs(n_jobs)
         if cache is True:
-            self.cache: QueryResultCache | None = QueryResultCache()
-        elif isinstance(cache, QueryResultCache):
-            self.cache = cache
-        else:
-            self.cache = None
+            cache = QueryResultCache()
+        self.cache = cache if isinstance(cache, QueryResultCache) else None
 
     @property
     def n_points(self) -> int:

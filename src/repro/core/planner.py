@@ -122,6 +122,7 @@ from repro.core.weighted import (
     weighted_prediction_probabilities,
 )
 from repro.obs.tracing import trace_span
+from repro.utils.lru import LRU
 from repro.utils.validation import check_in_options, check_positive_int
 
 __all__ = [
@@ -703,6 +704,11 @@ def _point_key(t: np.ndarray) -> str:
     return hashlib.sha1(np.ascontiguousarray(t).tobytes()).hexdigest()
 
 
+def _family_key(dataset: IncompleteDataset, test_X: np.ndarray, k: int, kernel: Kernel) -> tuple:
+    """The key of one prepared batch or maintained state: a query family."""
+    return (dataset.fingerprint(), _point_key(test_X), k, kernel_cache_key(kernel))
+
+
 def _weights_key(weights: list[list[Fraction]]) -> str:
     """A digest identifying an exact prior by value.
 
@@ -998,6 +1004,13 @@ def _point_function(query: CPQuery, prune: bool) -> Callable:
 _MISS = object()
 
 
+def _resolve_cache(options: ExecutionOptions, own: QueryResultCache) -> QueryResultCache | None:
+    """The result cache ``options.cache`` selects; ``True`` is the backend's ``own``."""
+    if options.cache is True:
+        return own
+    return options.cache if isinstance(options.cache, QueryResultCache) else None
+
+
 def _execute_points(
     query: CPQuery,
     options: ExecutionOptions,
@@ -1121,11 +1134,7 @@ class BatchParallelBackend(Backend):
 
     def __init__(self, cache_size: int = 4096, prepared_cache_size: int = 4) -> None:
         self.cache = QueryResultCache(maxsize=cache_size)
-        self._prepared: OrderedDict[tuple, PreparedBatch] = OrderedDict()
-        self._prepared_cache_size = check_positive_int(
-            prepared_cache_size, "prepared_cache_size"
-        )
-        self._lock = threading.Lock()
+        self._prepared = LRU(check_positive_int(prepared_cache_size, "prepared_cache_size"))
 
     def estimate_cost(self, query, options):
         jobs = min(resolve_n_jobs(options.n_jobs), max(query.n_points, 1))
@@ -1134,13 +1143,6 @@ class BatchParallelBackend(Backend):
         return cost, "vectorised preparation + parallel per-point scans"
 
     # ------------------------------------------------------------------
-    def _resolve_cache(self, options: ExecutionOptions) -> QueryResultCache | None:
-        if options.cache is True:
-            return self.cache
-        if isinstance(options.cache, QueryResultCache):
-            return options.cache
-        return None
-
     def _prepared_for(
         self,
         dataset: IncompleteDataset,
@@ -1152,24 +1154,10 @@ class BatchParallelBackend(Backend):
         handed = _handed_prepared(options, dataset, test_X, k, kernel)
         if handed is not None:
             return handed
-        key = (
-            dataset.fingerprint(),
-            _point_key(test_X),
-            k,
-            kernel_cache_key(kernel),
+        return self._prepared.get_or_build(
+            _family_key(dataset, test_X, k, kernel),
+            lambda: PreparedBatch(dataset, test_X, k=k, kernel=kernel),
         )
-        with self._lock:
-            prepared = self._prepared.get(key)
-            if prepared is not None:
-                self._prepared.move_to_end(key)
-                return prepared
-        prepared = PreparedBatch(dataset, test_X, k=k, kernel=kernel)
-        with self._lock:
-            self._prepared[key] = prepared
-            self._prepared.move_to_end(key)
-            while len(self._prepared) > self._prepared_cache_size:
-                self._prepared.popitem(last=False)
-        return prepared
 
     # ------------------------------------------------------------------
     def execute(self, query, options=None):
@@ -1188,7 +1176,7 @@ class BatchParallelBackend(Backend):
             return dict(pairs)
 
         _, values, stats = _execute_points(
-            query, options, self._resolve_cache(options), evaluate
+            query, options, _resolve_cache(options, self.cache), evaluate
         )
         return values, stats
 
@@ -1196,6 +1184,17 @@ class BatchParallelBackend(Backend):
 # ---------------------------------------------------------------------------
 # IncrementalBackend — maintained counts across growing pin sets
 # ---------------------------------------------------------------------------
+
+
+class _FamilyState:
+    """One query family's maintained state, the pins applied to it, and the
+    lock every mutation of the two is made under. ``applied`` is replaced,
+    never mutated, so an unlocked reader sees a consistent mapping."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.state: DeltaMaintainedState | None = None
+        self.applied: Mapping[int, int] = {}
 
 
 class IncrementalBackend(Backend):
@@ -1225,39 +1224,18 @@ class IncrementalBackend(Backend):
     )
 
     def __init__(self, max_states: int = 8) -> None:
-        #: Per family: the maintained state and the pins applied to it.
-        self._states: OrderedDict[tuple, tuple[DeltaMaintainedState, dict[int, int]]] = (
-            OrderedDict()
-        )
         self.max_states = check_positive_int(max_states, "max_states")
-        # The backend-wide lock only guards the registry bookkeeping; the
-        # expensive per-family work (state builds, pin maintenance) runs
-        # under a per-family lock so concurrent sessions on different
-        # query families never serialise each other.
+        #: Per family one :class:`_FamilyState`, whose own lock is the only
+        #: one its state is mutated under: evicting a family leaves a waiting
+        #: caller an orphaned state, never a share of a rebuilt one.
+        self._states = LRU(self.max_states)
         self._lock = threading.Lock()
-        self._family_locks: dict[tuple, threading.Lock] = {}
         self.n_reuses = 0
         self.n_rebuilds = 0
-
-    def _family_key(self, query: CPQuery) -> tuple:
-        return (
-            query.fingerprint(),
-            _point_key(query.test_X),
-            query.k,
-            kernel_cache_key(query.kernel),
-        )
 
     @staticmethod
     def _extends(pins: Mapping[int, int], applied: Mapping[int, int]) -> bool:
         return all(pins.get(row) == cand for row, cand in applied.items())
-
-    def _warm_state(self, query: CPQuery) -> DeltaMaintainedState | None:
-        """The maintained state if it exists and its pins extend to the query's."""
-        with self._lock:
-            entry = self._states.get(self._family_key(query))
-        if entry is not None and self._extends(query.pins_dict(), entry[1]):
-            return entry[0]
-        return None
 
     @staticmethod
     def _build_state(query: CPQuery, options: ExecutionOptions) -> DeltaMaintainedState:
@@ -1283,39 +1261,38 @@ class IncrementalBackend(Backend):
         )
 
     def estimate_cost(self, query, options):
-        if self._warm_state(query) is not None:
+        family = self._states.get(
+            _family_key(query.dataset, query.test_X, query.k, query.kernel)
+        )
+        if family is not None and family.state is not None and self._extends(
+            query.pins_dict(), family.applied
+        ):
             return 0.1 * query.workload_size(), "maintained counts, delta pins only"
         return 1.5 * query.workload_size(), "cold start: full preparation + counts"
 
     def execute(self, query, options=None):
         options = options or ExecutionOptions()
         pins = query.pins_dict()
-        key = self._family_key(query)
-        with self._lock:
-            family_lock = self._family_locks.setdefault(key, threading.Lock())
-        with family_lock:
-            with self._lock:
-                entry = self._states.get(key)
-            if entry is not None and not self._extends(pins, entry[1]):
-                entry = None  # pins shrank or contradict: rebuild
-            if entry is None:
-                entry = (self._build_state(query, options), pins)
+        family = self._states.get_or_build(
+            _family_key(query.dataset, query.test_X, query.k, query.kernel), _FamilyState
+        )
+        with family.lock:
+            if family.state is None or not self._extends(pins, family.applied):
+                # cold, or pins shrank or contradict: rebuild
+                family.state, family.applied = self._build_state(query, options), pins
                 with self._lock:
-                    self._states[key] = entry
                     self.n_rebuilds += 1
             else:
                 with self._lock:
                     self.n_reuses += 1
-            with self._lock:
-                self._states.move_to_end(key)
-                while len(self._states) > self.max_states:
-                    evicted, _ = self._states.popitem(last=False)
-                    self._family_locks.pop(evicted, None)
-            state, applied = entry
-            for row, cand in sorted(pins.items()):
-                if row not in applied:
-                    state.apply(CellRepair(row, cand))
-                    applied[row] = cand
+            state, applied = family.state, dict(family.applied)
+            try:
+                for row, cand in sorted(pins.items()):
+                    if row not in applied:
+                        state.apply(CellRepair(row, cand))
+                        applied[row] = cand
+            finally:
+                family.applied = applied
             counts = state.counts_all()
             stats = _prune_summary(
                 query, state.prune, dict(state.prune_stats) if state.prune else None

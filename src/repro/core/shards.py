@@ -81,6 +81,7 @@ from repro.core.planner import (
     BackendCapabilities,
     ExecutionOptions,
     _execute_points,
+    _resolve_cache,
     register_backend,
 )
 from repro.utils.validation import check_matrix, check_positive_int
@@ -573,13 +574,6 @@ class ShardedBackend(Backend):
         cost = per_point * (0.7 + 0.5 * query.n_points / jobs)
         return cost, "tile streaming (dense state fits in memory)"
 
-    def _resolve_cache(self, options: ExecutionOptions) -> QueryResultCache | None:
-        if options.cache is True:
-            return self.cache
-        if isinstance(options.cache, QueryResultCache):
-            return options.cache
-        return None
-
     # ------------------------------------------------------------------
     def execute(self, query, options=None):
         options = options or ExecutionOptions()
@@ -609,7 +603,7 @@ class ShardedBackend(Backend):
             )
 
         task, values, stats = _execute_points(
-            query, options, self._resolve_cache(options), evaluate
+            query, options, _resolve_cache(options, self.cache), evaluate
         )
         # Every point may have been cache-served, with no executor built
         # (and no candidates stacked): derive the grid for the stats directly.

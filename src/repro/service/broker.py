@@ -20,13 +20,14 @@ ways over the wire and asserts exactly that).
 
 Two more serving-layer pieces live here:
 
-* :class:`TTLResultCache` — the broker's result cache. Same
-  thread-safe LRU discipline as
-  :class:`~repro.core.batch_engine.QueryResultCache`, plus a
-  time-to-live: a served value is keyed by dataset *content
-  fingerprint* (so any dataset change invalidates by construction) and
-  expires after ``ttl_s`` seconds so the cache cannot pin unbounded
-  state warm forever.
+* :data:`TTLResultCache` — the broker's result cache, an alias of
+  :class:`repro.utils.lru.LRU` (the one thread-safe LRU behind every
+  in-process cache) built with a time-to-live: a served value is keyed
+  by dataset *content fingerprint* (so any dataset change invalidates by
+  construction) and expires after ``ttl_s`` seconds so the cache cannot
+  pin unbounded state warm forever. The broker owns its key format, so
+  it also owns the predicate that drops one dataset's entries on a patch
+  or re-registration.
 * **Admission control** — the broker tracks in-flight requests and
   rejects new ones with :class:`AdmissionError` once ``max_pending`` is
   reached, which the HTTP layer surfaces as ``429 Too Many Requests``
@@ -39,8 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import time
-from collections import OrderedDict
+from collections.abc import Callable
 from concurrent.futures import Future
 from fractions import Fraction
 from typing import Any
@@ -67,6 +67,7 @@ from repro.service.registry import (
     DatasetSnapshot,
 )
 from repro.service.wire import WireError, encode_relation
+from repro.utils.lru import LRU
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -76,6 +77,10 @@ __all__ = [
 ]
 
 _MISS = object()
+
+#: The broker's result cache: the one :class:`~repro.utils.lru.LRU`, under
+#: the name it has always been exported as (the broker builds it with a TTL).
+TTLResultCache = LRU
 
 #: Pruning counters the broker aggregates from ``QueryResult.stats`` into
 #: ``/metrics`` (the integer-valued subset of the backends' stat snapshots).
@@ -98,111 +103,20 @@ class AdmissionError(RuntimeError):
         self.retry_after = retry_after
 
 
-class TTLResultCache:
-    """A thread-safe LRU result cache whose entries expire after ``ttl_s``.
+def _keys_dataset(name: str) -> Callable[[Any], bool]:
+    """A cache-key predicate: does the key hold results for dataset/table
+    ``name``? Query-family keys lead with the dataset name; SQL keys carry
+    ``(name, fingerprint)`` pairs for every scanned table. Keys embed
+    fingerprints, so a stale entry is never *served*; this only frees it."""
 
-    The serving twin of :class:`~repro.core.batch_engine.QueryResultCache`:
-    same lock-around-everything discipline and LRU eviction, with a
-    monotonic-clock TTL on top. An expired entry counts as a miss and is
-    dropped on sight. The clock is injectable for deterministic tests.
-    """
+    def matches(key: Any) -> bool:
+        if not (isinstance(key, tuple) and key):
+            return False
+        return key[0] == name or (
+            key[0] == "sql" and any(n == name for n, _ in key[1])
+        )
 
-    def __init__(
-        self,
-        maxsize: int = 4096,
-        ttl_s: float = 30.0,
-        clock=time.monotonic,
-    ) -> None:
-        self.maxsize = check_positive_int(maxsize, "maxsize")
-        if not ttl_s > 0:
-            raise ValueError(f"ttl_s must be positive, got {ttl_s}")
-        self.ttl_s = float(ttl_s)
-        self._clock = clock
-        self._entries: OrderedDict[Any, tuple[float, Any]] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.expirations = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        with self._lock:
-            item = self._entries.get(key, _MISS)
-            if item is not _MISS:
-                expires, value = item
-                if self._clock() < expires:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    return value
-                del self._entries[key]
-                self.expirations += 1
-            self.misses += 1
-            return default
-
-    def put(self, key: Any, value: Any) -> None:
-        with self._lock:
-            self._entries[key] = (self._clock() + self.ttl_s, value)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def purge(self) -> int:
-        """Drop every expired entry; returns how many were dropped."""
-        now = self._clock()
-        with self._lock:
-            stale = [k for k, (expires, _) in self._entries.items() if expires <= now]
-            for key in stale:
-                del self._entries[key]
-            self.expirations += len(stale)
-            return len(stale)
-
-    def purge_dataset(self, name: str) -> int:
-        """Drop every entry cached for dataset/table ``name``; returns how many.
-
-        Keys are content-addressed (they embed a fingerprint), so a stale
-        entry can never be *served* for new content — but without this
-        purge, re-registering or patching a name would leave the old
-        content's results resident until TTL or LRU pressure claimed
-        them. Query-family keys lead with the dataset name; SQL keys
-        carry ``(name, fingerprint)`` pairs for every scanned table.
-        """
-        with self._lock:
-            stale = []
-            for key in self._entries:
-                if not (isinstance(key, tuple) and key):
-                    continue
-                if key[0] == name:
-                    stale.append(key)
-                elif key[0] == "sql" and any(n == name for n, _ in key[1]):
-                    stale.append(key)
-            for key in stale:
-                del self._entries[key]
-            return len(stale)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.expirations = 0
-
-    def stats(self) -> dict[str, int | float]:
-        with self._lock:
-            hits, misses = self.hits, self.misses
-            size, expirations = len(self._entries), self.expirations
-        total = hits + misses
-        return {
-            "size": size,
-            "maxsize": self.maxsize,
-            "ttl_s": self.ttl_s,
-            "hits": hits,
-            "misses": misses,
-            "expirations": expirations,
-            "hit_rate": hits / total if total else 0.0,
-        }
+    return matches
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +236,8 @@ class QueryBroker:
         self.tile_candidates = tile_candidates
         self.gateway = gateway
         if cache is True:
-            self.cache: TTLResultCache | None = TTLResultCache(
-                maxsize=cache_size, ttl_s=ttl_s
-            )
-        elif isinstance(cache, TTLResultCache):
-            self.cache = cache
-        else:
-            self.cache = None
+            cache = TTLResultCache(maxsize=cache_size, ttl_s=ttl_s)
+        self.cache = cache if isinstance(cache, TTLResultCache) else None
         self._lock = threading.Lock()
         self._pending: dict[tuple, _PendingBatch] = {}
         self._inflight = 0
@@ -480,16 +389,7 @@ class QueryBroker:
             else:
                 self._c_multi.inc()
             sweep = self.cache is not None and self._c_requests.value % 256 == 0
-            if self._closed:
-                raise AdmissionError("broker is shut down", retry_after=1.0)
-            if self._inflight >= self.max_pending:
-                self._c_rejected.inc()
-                raise AdmissionError(
-                    f"{self._inflight} requests in flight (max_pending="
-                    f"{self.max_pending}); shedding load",
-                    retry_after=max(self.window_s * 2, 0.01),
-                )
-            self._inflight += 1
+            self._admit()
         if sweep:
             # Periodic sweep: expired entries would otherwise stay resident
             # until their exact key is looked up again or LRU pressure hits.
@@ -592,16 +492,7 @@ class QueryBroker:
         with self._lock:
             self._c_sql.inc()
             sweep = self.cache is not None and self._c_sql.value % 256 == 0
-            if self._closed:
-                raise AdmissionError("broker is shut down", retry_after=1.0)
-            if self._inflight >= self.max_pending:
-                self._c_rejected.inc()
-                raise AdmissionError(
-                    f"{self._inflight} requests in flight (max_pending="
-                    f"{self.max_pending}); shedding load",
-                    retry_after=max(self.window_s * 2, 0.01),
-                )
-            self._inflight += 1
+            self._admit()
         if sweep:
             self.cache.purge()
         try:
@@ -707,16 +598,7 @@ class QueryBroker:
                 "(for a codd table), not both"
             )
         with self._lock:
-            if self._closed:
-                raise AdmissionError("broker is shut down", retry_after=1.0)
-            if self._inflight >= self.max_pending:
-                self._c_rejected.inc()
-                raise AdmissionError(
-                    f"{self._inflight} requests in flight (max_pending="
-                    f"{self.max_pending}); shedding load",
-                    retry_after=max(self.window_s * 2, 0.01),
-                )
-            self._inflight += 1
+            self._admit()
             self._c_patches.inc()
         try:
             with self._h_op_seconds["patch"].time(), trace_span(
@@ -729,8 +611,22 @@ class QueryBroker:
             # Purge even on partial application: any applied prefix already
             # changed the content the cached results were computed for.
             if self.cache is not None:
-                self.cache.purge_dataset(name)
+                self.cache.discard(_keys_dataset(name))
         return result
+
+    def _admit(self) -> None:
+        """Take one in-flight slot or raise :class:`AdmissionError` (the
+        caller holds ``_lock``)."""
+        if self._closed:
+            raise AdmissionError("broker is shut down", retry_after=1.0)
+        if self._inflight >= self.max_pending:
+            self._c_rejected.inc()
+            raise AdmissionError(
+                f"{self._inflight} requests in flight (max_pending="
+                f"{self.max_pending}); shedding load",
+                retry_after=max(self.window_s * 2, 0.01),
+            )
+        self._inflight += 1
 
     def _patch_traced(self, name, deltas, fixes) -> dict:
         if deltas is not None:
@@ -803,7 +699,7 @@ class QueryBroker:
     def _on_invalidated(self, name: str) -> None:
         """Registry hook: drop cached results for a replaced/removed name."""
         if self.cache is not None:
-            self.cache.purge_dataset(name)
+            self.cache.discard(_keys_dataset(name))
         if self.gateway is not None:
             self.gateway.drop(name)
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.codd.algebra import (
+    Aggregate,
+    AggregateSpec,
     Attribute,
     Comparison,
     Join,
@@ -21,6 +23,7 @@ from repro.codd.certain import (
     prune_database,
 )
 from repro.codd.codd_table import CoddTable, Null
+from repro.codd.engine import answer_query
 
 
 @pytest.fixture
@@ -155,3 +158,26 @@ class TestPruneDatabase:
         pruned = prune_database(query, {"t": table})
         assert len(pruned["t"]) == 0
         assert certain_answers_database(query, {"t": table}).rows == set()
+
+
+class TestUnhashableLiteral:
+    @pytest.mark.parametrize("mode", ["certain", "possible"])
+    @pytest.mark.parametrize("shape", ["aggregate", "join"])
+    def test_list_literal_plans_and_matches_naive(self, shape, mode) -> None:
+        # A list literal makes the planner's analysis key unhashable: the
+        # analysis runs uncached instead of raising, and the fast path
+        # compares the list as one value (9 != [9] holds), as naive does.
+        database = {
+            "t": CoddTable(("a", "b"), [(1, 2), (1, Null([3, 9])), (2, 9)]),
+            "u": CoddTable(("a", "c"), [(1, "x"), (2, Null(["y", "z"]))]),
+        }
+        child = Select(Scan("t"), Comparison(Attribute("b"), "!=", Literal([9])))
+        query = (
+            Aggregate(child, ("a",), (AggregateSpec("count", None, "n"),))
+            if shape == "aggregate"
+            else Join(child, Scan("u"))
+        )
+        fast = answer_query(query, database, mode=mode)
+        naive = answer_query(query, database, mode=mode, backend="naive")
+        assert fast.plan.backend != "naive"
+        assert fast.relation == naive.relation

@@ -145,6 +145,15 @@ class TestExactness:
         assert possible_answers_vectorized(query, table).rows == {("x",)}
         assert certain_answers_vectorized(query, table).rows == set()
 
+    def test_sequence_literal_compares_as_one_value(self):
+        # numpy would broadcast [9] and compare elementwise against 9;
+        # Python compares the list itself, and 9 != [9] holds everywhere.
+        table = CoddTable(("a",), [(Null([3, 9]),), (9,)])
+        query = Select(Scan("T"), Comparison(Attribute("a"), "!=", Literal([9])))
+        assert certain_answers_vectorized(query, table) == certain_answers_naive(query, table)
+        assert possible_answers_vectorized(query, table) == possible_answers_naive(query, table)
+        assert possible_answers_vectorized(query, table).rows == {(3,), (9,)}
+
     def test_rename_and_projection(self):
         table = CoddTable(("a", "b"), [(1, Null([5, 6])), (2, 9)])
         query = Project(

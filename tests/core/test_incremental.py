@@ -9,6 +9,9 @@ backend across growing pin sets, with pruning on and off.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +165,72 @@ class TestPinning:
         second, _ = backend.execute(query)
         assert second == first
         assert backend.n_rebuilds == 1 and backend.n_reuses == 1
+
+
+class TestConcurrentFamilies:
+    def test_evicted_family_never_shares_its_rebuilt_state(self, monkeypatch) -> None:
+        # With max_states=1: thread E queues on family K while A applies a
+        # pin; family J evicts K; K is rebuilt and N starts applying a pin
+        # to the fresh state. When A finishes, E must mutate only the state
+        # of the entry whose lock it waited on, never the one N is inside.
+        dataset = IncompleteDataset(
+            [np.array([[float(row)], [row + 0.5]]) for row in range(6)],
+            labels=[0, 1, 0, 1, 0, 1],
+        )
+        points = np.array([[0.2], [2.7], [4.9]])
+        original_apply = DeltaMaintainedState.apply
+        guard = threading.Lock()
+        active: dict[int, int] = {}
+        overlaps: list[str] = []
+        entered = {"A": threading.Event(), "N": threading.Event()}
+        release = {"A": threading.Event(), "N": threading.Event()}
+
+        def gated_apply(state, delta):
+            name = threading.current_thread().name
+            with guard:
+                if active.get(id(state)):
+                    overlaps.append(name)
+                active[id(state)] = active.get(id(state), 0) + 1
+            try:
+                if name in entered:
+                    entered[name].set()
+                    release[name].wait(timeout=10)
+                return original_apply(state, delta)
+            finally:
+                with guard:
+                    active[id(state)] -= 1
+
+        monkeypatch.setattr(DeltaMaintainedState, "apply", gated_apply)
+        backend = IncrementalBackend(max_states=1)
+        results: dict[str, list[list[int]]] = {}
+        threads: dict[str, threading.Thread] = {}
+        pins = {"A": {0: 1}, "E": {0: 1, 1: 1}, "N": {2: 0}}
+
+        def start(name: str) -> None:
+            def run() -> None:
+                results[name] = pinned_counts(backend, dataset, points, 3, pins[name])
+
+            threads[name] = threading.Thread(target=run, name=name)
+            threads[name].start()
+
+        pinned_counts(backend, dataset, points, 3, {})  # family K, cold
+        start("A")
+        assert entered["A"].wait(timeout=10)
+        start("E")
+        time.sleep(0.2)  # let E queue on K's lock
+        pinned_counts(backend, dataset, points, 1, {})  # family J evicts K
+        pinned_counts(backend, dataset, points, 3, {})  # K rebuilt
+        start("N")
+        assert entered["N"].wait(timeout=10)
+        release["A"].set()
+        threads["A"].join(timeout=10)
+        threads["E"].join(timeout=10)
+        release["N"].set()
+        threads["N"].join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads.values())
+        assert overlaps == []
+        for name, pinned in pins.items():
+            assert results[name] == fresh_counts(dataset, points, 3, pinned)
 
 
 class TestDerivedQuantities:
