@@ -16,8 +16,8 @@ that workload and measures three things, emitted human-readable and as
 2. **Telemetry** — the pruning counters the run reported: rows and
    candidate positions pruned, positions actually scanned.
 3. **Cross-backend identity** — the same query with ``prune=on`` on the
-   sequential and sharded backends, asserted bit-identical to the
-   unpruned reference (pruning is a pure execution knob).
+   sequential backend, asserted bit-identical to the unpruned reference
+   (pruning is a pure execution knob).
 
 Run as a script::
 
@@ -107,28 +107,17 @@ def bench_speedup(query, repeats: int) -> tuple[dict, dict, list]:
 
 
 def bench_identity(query, reference) -> dict:
-    checks = []
-    for backend, options in (
-        ("sequential", ExecutionOptions(cache=False, prune="on")),
-        (
-            "sharded",
-            ExecutionOptions(
-                cache=False, prune="on", tile_rows=8, tile_candidates=256
-            ),
-        ),
-    ):
-        result = execute_query(query, backend=backend, options=options)
-        assert result.values == reference, (
-            f"{backend} prune=on diverged from the unpruned reference"
-        )
-        checks.append(
-            {
-                "backend": backend,
-                "n_rows_pruned": result.stats.get("n_rows_pruned", 0),
-                "identical": True,
-            }
-        )
-    return {"configurations": checks}
+    options = ExecutionOptions(cache=False, prune="on")
+    result = execute_query(query, backend="sequential", options=options)
+    assert result.values == reference, (
+        "sequential prune=on diverged from the unpruned reference"
+    )
+    check = {
+        "backend": "sequential",
+        "n_rows_pruned": result.stats.get("n_rows_pruned", 0),
+        "identical": True,
+    }
+    return {"configurations": [check]}
 
 
 def main(argv=None) -> int:

@@ -81,12 +81,6 @@ from repro.core.prepared import PreparedQuery
 from repro.core.queries import certain_label, q1, q2, q2_counts
 from repro.core.scan import ScanOrder, compute_scan_order
 from repro.core.screening import ScreeningResult, screen_dataset
-from repro.core.shards import (
-    ShardedBackend,
-    ShardedExecutor,
-    TilePlan,
-    plan_tiles,
-)
 from repro.core.sortscan import sortscan_counts_naive
 from repro.core.sortscan_tree import sortscan_counts_tree
 from repro.core.topk_prob import (
@@ -127,10 +121,6 @@ __all__ = [
     "SequentialBackend",
     "BatchParallelBackend",
     "IncrementalBackend",
-    "ShardedBackend",
-    "ShardedExecutor",
-    "TilePlan",
-    "plan_tiles",
     "make_query",
     "plan_query",
     "execute_query",

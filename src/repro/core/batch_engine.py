@@ -4,12 +4,16 @@ This module is the substrate the planner's backends share
 (:mod:`repro.core.planner`):
 
 * :class:`PreparedBatch` is the prepared state of a whole test set: the
-  ``(T, P)`` candidate-similarity matrix comes from **one** vectorised
-  :meth:`~repro.core.kernels.Kernel.pairwise` call over the dataset's
-  cached stacked candidate matrix (the one preparation path, see
-  :mod:`repro.core.scan`), and per-point scan orders and
-  :class:`~repro.core.prepared.PreparedQuery` views are derived from its
-  rows on demand.
+  ``(T, P)`` candidate-similarity matrix comes from one
+  :func:`~repro.core.scan.similarity_matrix` call over the dataset's
+  cached stacked candidate matrix (the one preparation path, filled in
+  bounded kernel blocks, see :mod:`repro.core.scan`), and per-point scan
+  orders and :class:`~repro.core.prepared.PreparedQuery` views are derived
+  from its rows on demand.
+* :data:`MEMORY_BUDGET_BYTES` bounds the similarity state the planner's
+  ``batch`` backend holds: a test matrix whose dense ``(T, P)`` matrix
+  would exceed it is evaluated in row chunks of :func:`budget_rows` points
+  instead of one prepared batch.
 * :func:`fanout_map` fans per-point work out across a ``multiprocessing``
   worker pool: ``n_jobs`` forked workers pull index chunks from a shared
   task queue, inheriting the prepared arrays read-only through
@@ -38,7 +42,6 @@ import multiprocessing
 import os
 import sys
 import threading
-import uuid
 from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
@@ -52,6 +55,8 @@ from repro.utils.lru import LRU
 from repro.utils.validation import check_matrix, check_positive_int
 
 __all__ = [
+    "MEMORY_BUDGET_BYTES",
+    "budget_rows",
     "QueryResultCache",
     "PreparedBatch",
     "BatchQueryExecutor",
@@ -65,6 +70,20 @@ __all__ = [
 #: The batch backend's result cache: the one :class:`~repro.utils.lru.LRU`,
 #: under the name it has always been exported as.
 QueryResultCache = LRU
+
+#: Bytes of ``(T, P)`` similarity state the batch backend holds at once.
+MEMORY_BUDGET_BYTES = 64 * 1024 * 1024
+
+
+def budget_rows(n_points: int, n_candidates: int) -> int:
+    """Test points per similarity chunk under :data:`MEMORY_BUDGET_BYTES`.
+
+    ``n_points`` when the dense ``(n_points, n_candidates)`` float matrix
+    fits the budget, else as many rows as fit (at least one).
+    """
+    if n_points * n_candidates * 8 <= MEMORY_BUDGET_BYTES:
+        return n_points
+    return max(1, MEMORY_BUDGET_BYTES // (8 * n_candidates))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +179,8 @@ class PreparedBatch:
     """Shared prepared state for CP queries against an entire test set.
 
     The candidate-similarity matrix for *all* test points is computed in
-    one vectorised kernel call over the dataset's stacked candidates;
+    one :func:`~repro.core.scan.similarity_matrix` call over the dataset's
+    stacked candidates;
     per-point scan orders and :class:`PreparedQuery` views are built from
     its rows on demand and cached (this is how
     :class:`repro.cleaning.sequential.CleaningSession` gets its queries).
@@ -189,9 +209,9 @@ class PreparedBatch:
             self.sims_matrix = similarity_matrix(dataset, self.test_X, self.kernel)
         else:
             # A caller-computed similarity matrix (the delta layer's
-            # maintained blocks, a streamed sharded tile), so no kernel work
-            # is repeated. The caller owns correctness of the values; the
-            # shape contract is enforced here.
+            # maintained blocks), so no kernel work is repeated. The caller
+            # owns correctness of the values; the shape contract is
+            # enforced here.
             sims_matrix = np.asarray(sims_matrix, dtype=np.float64)
             expected = (self.test_X.shape[0], int(dataset.stacked_candidates()[4][-1]))
             if sims_matrix.shape != expected:
@@ -250,8 +270,8 @@ class PreparedBatch:
 # ---------------------------------------------------------------------------
 
 
-def kernel_cache_key(kernel: Kernel) -> str:
-    """A cache-key component identifying the kernel *by value*.
+def kernel_cache_key(kernel: Kernel) -> str | None:
+    """A cache-key component identifying the kernel *by value*, or ``None``.
 
     The key always includes the kernel's concrete class (a subclass that
     merely inherits its parent's parameterised ``__repr__`` must not alias
@@ -260,9 +280,9 @@ def kernel_cache_key(kernel: Kernel) -> str:
     (``RBFKernel(gamma=2.0)``), so two equal-parameter instances share a
     key. A user-defined kernel that keeps ``object.__repr__`` would be
     keyed by its memory address — and a recycled address could alias two
-    different kernels into one cache entry — so such kernels get a
-    fresh process-unique token per key instead: their results are never
-    served from a cache, and entries are never shared across instances.
+    different kernels into one cache entry — so such a kernel has no key:
+    ``None`` means "uncacheable", and every cache skips the query instead
+    of storing entries nothing can ever hit.
 
     The contract for custom kernels that *do* define ``__repr__``: the
     repr must encode every parameter that changes the similarity values
@@ -270,10 +290,9 @@ def kernel_cache_key(kernel: Kernel) -> str:
     equal are treated as interchangeable by any shared cache.
     """
     cls = type(kernel)
-    identity = f"{cls.__module__}.{cls.__qualname__}"
     if cls.__repr__ is object.__repr__:
-        return f"{identity}#{uuid.uuid4().hex}"
-    return f"{identity}:{kernel!r}"
+        return None
+    return f"{cls.__module__}.{cls.__qualname__}:{kernel!r}"
 
 
 class BatchQueryExecutor:

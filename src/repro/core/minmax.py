@@ -17,6 +17,14 @@ the top-K when a non-``l`` row is pushed down); by default this module
 refuses multi-class datasets. ``allow_multiclass=True`` exposes the
 construction anyway for experimentation (it is then only a *necessary*
 condition, not sufficient), mirroring the discussion in Appendix B.
+
+The per-row extremes come from :func:`row_extremes` over a full similarity
+row, or from :func:`stream_extremes`, which folds bounded similarity blocks
+(:func:`~repro.core.scan.similarity_blocks`) into ``(T, N)`` tallies with
+:func:`merge_minmax_block` and never holds a ``P``-wide row. The
+partitioned service's executors run the streamed fold over their dataset
+slices; min and max are associative, so the gateway's concatenation of
+those tallies is lossless.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import numpy as np
 from repro.core.dataset import IncompleteDataset
 from repro.core.kernels import Kernel
 from repro.core.knn import majority_label, top_k_rows
-from repro.core.scan import similarity_matrix
+from repro.core.scan import similarity_blocks, similarity_matrix
 from repro.utils.validation import check_positive_int, check_vector
 
 __all__ = [
@@ -38,6 +46,8 @@ __all__ = [
     "extreme_winners",
     "predictable_labels",
     "row_extremes",
+    "merge_minmax_block",
+    "stream_extremes",
 ]
 
 
@@ -63,6 +73,83 @@ def row_extremes(
                 f"with {m_row} candidates"
             )
         mins[..., row] = maxs[..., row] = sims[..., int(offsets[row]) + cand]
+    return mins, maxs
+
+
+def merge_minmax_block(
+    mins: np.ndarray,
+    maxs: np.ndarray,
+    block: np.ndarray,
+    rows: np.ndarray,
+    offsets: np.ndarray,
+    c0: int,
+    c1: int,
+) -> None:
+    """Fold one candidate-block of similarities into running min/max tallies.
+
+    ``block`` holds similarities for stacked-candidate positions
+    ``[c0, c1)`` (shape ``(n_points, c1 - c0)``); ``rows`` maps each
+    stacked position to its dataset row and ``offsets`` is the row →
+    first-stacked-position table. ``mins`` / ``maxs`` (shape
+    ``(n_points, n_rows)``) are updated in place for the rows the block
+    touches. The merge is exact for any block boundaries: min and max are
+    associative and commutative, so min-of-mins / max-of-maxes over a row's
+    segments equals the min/max over the whole row — no floating-point
+    reordering is introduced.
+    """
+    first = int(rows[c0])
+    last = int(rows[c1 - 1])
+    starts = (np.maximum(offsets[first : last + 1], c0) - c0).astype(np.intp)
+    np.minimum(
+        mins[:, first : last + 1],
+        np.minimum.reduceat(block, starts, axis=1),
+        out=mins[:, first : last + 1],
+    )
+    np.maximum(
+        maxs[:, first : last + 1],
+        np.maximum.reduceat(block, starts, axis=1),
+        out=maxs[:, first : last + 1],
+    )
+
+
+def stream_extremes(
+    dataset: IncompleteDataset,
+    test_X: np.ndarray,
+    kernel: Kernel | str | None,
+    fixed: Mapping[int, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ``(mins, maxs)`` similarity tallies of ``test_X``, streamed.
+
+    Each bounded block of :func:`~repro.core.scan.similarity_blocks` is
+    folded by :func:`merge_minmax_block`; the ``(T, P)`` similarity matrix
+    is never materialised. A pinned row of ``fixed`` collapses to its
+    pinned candidate's similarity, as in :func:`row_extremes` (pins out of
+    range raise :class:`IndexError`). Returns two ``(T, N)`` arrays,
+    bit-identical to the dense ``row_extremes`` for any block size.
+    """
+    _, rows, _, counts, offsets = dataset.stacked_candidates()
+    pins = sorted(fixed.items())
+    for row, cand in pins:
+        if not 0 <= row < dataset.n_rows:
+            raise IndexError(f"pinned row {row} out of range for {dataset.n_rows} rows")
+        if not 0 <= cand < int(counts[row]):
+            raise IndexError(
+                f"pinned candidate {cand} out of range for row {row} "
+                f"with {int(counts[row])} candidates"
+            )
+    positions = [int(offsets[row]) + cand for row, cand in pins]
+    n_points = np.shape(test_X)[0]
+    mins = np.full((n_points, dataset.n_rows), np.inf)
+    maxs = np.full((n_points, dataset.n_rows), -np.inf)
+    pinned = np.empty((n_points, len(pins)))
+    for c0, c1, block in similarity_blocks(dataset, test_X, kernel):
+        merge_minmax_block(mins, maxs, block, rows, offsets, c0, c1)
+        for slot, position in enumerate(positions):
+            if c0 <= position < c1:
+                pinned[:, slot] = block[:, position - c0]
+    # After the merge: a pinned row's segment may span several blocks.
+    for slot, (row, _) in enumerate(pins):
+        mins[:, row] = maxs[:, row] = pinned[:, slot]
     return mins, maxs
 
 

@@ -17,8 +17,9 @@ possible worlds, so every front door goes through this module:
   lookup, evaluation of the missing points, stats folding, the ``check``
   kind — so backends differ only in how they prepare similarity rows,
   fan points out and cache values. :data:`EXTREME_FUNCTIONS` marks the
-  entries that read a row only through its per-row extremes, so a
-  streaming backend can hand them min/max tallies instead of full rows.
+  entries that read a row only through its per-row extremes, so the
+  partitioned gateway can hand them merged min/max tallies instead of
+  full rows.
 * :class:`Backend` is the executor protocol. Each backend declares
   :class:`BackendCapabilities` (which flavors and kinds it can serve,
   whether it is batchable / incremental / exact) and estimates its cost
@@ -33,9 +34,7 @@ possible worlds, so every front door goes through this module:
   repeated pinned queries). :func:`execute_query` executes the plan and
   returns a :class:`QueryResult`.
 
-Four backends ship by default (the first three here; the fourth —
-``sharded``, the tile-streaming out-of-core executor — lives in
-:mod:`repro.core.shards` and registers itself on import):
+Three backends ship by default:
 
 ``sequential``
     One ``pairwise`` call over the dataset's cached stacked candidates per
@@ -44,19 +43,16 @@ Four backends ship by default (the first three here; the fourth —
 ``batch``
     One :class:`~repro.core.batch_engine.PreparedBatch` similarity matrix
     for the whole test matrix (kept in a small LRU), a ``fork``
-    worker-pool fan-out, and fingerprint-keyed result caching.
+    worker-pool fan-out, and fingerprint-keyed result caching. A test
+    matrix whose dense similarity matrix would exceed
+    :data:`~repro.core.batch_engine.MEMORY_BUDGET_BYTES` is evaluated in
+    bounded row chunks instead, so its memory stays bounded.
 ``incremental``
     Per query family a :class:`~repro.core.deltas.DeltaMaintainedState`
     kept alive across calls; each new pin is applied as a
     :class:`~repro.core.deltas.CellRepair`, so a cleaning session that
     re-queries the same validation points with a growing pin set pays one
     exact delta update per step instead of a full re-preparation.
-``sharded``
-    The out-of-core tile executor (:class:`repro.core.shards.ShardedBackend`):
-    the test-point × candidate space is split into bounded shared-memory
-    tiles streamed through a persistent worker pool, so the full distance
-    matrix never has to fit in memory at once. The cost model prefers it
-    when the dense matrix would exceed the backend's memory budget.
 
 All backends return bit-identical values for any query they both support
 (``tests/core/test_planner.py`` and the differential harness hold the
@@ -87,6 +83,7 @@ import numpy as np
 from repro.core.batch_engine import (
     PreparedBatch,
     QueryResultCache,
+    budget_rows,
     fanout_map,
     get_fanout_state,
     kernel_cache_key,
@@ -255,13 +252,17 @@ def _normalise_test_X(dataset: Any, test_X: Any) -> np.ndarray:
 def _normalise_pins(dataset: Any, pins: Any) -> tuple[tuple[int, int], ...]:
     if not pins:
         return ()
-    items = sorted(dict(pins).items()) if isinstance(pins, Mapping) else sorted(
-        dict((int(r), int(c)) for r, c in pins).items()
-    )
+    pairs = pins.items() if isinstance(pins, Mapping) else pins
+    chosen: dict[int, int] = {}
+    for row, cand in pairs:
+        row, cand = int(row), int(cand)
+        if chosen.setdefault(row, cand) != cand:
+            raise ValueError(
+                f"row {row} pinned to two candidates ({chosen[row]} and {cand})"
+            )
     counts = dataset.candidate_counts()
     out = []
-    for row, cand in items:
-        row, cand = int(row), int(cand)
+    for row, cand in sorted(chosen.items()):
         if not 0 <= row < dataset.n_rows:
             raise IndexError(f"pinned row {row} out of range for {dataset.n_rows} rows")
         if not 0 <= cand < int(counts[row]):
@@ -377,9 +378,6 @@ class ExecutionOptions:
     = off); ``prepared`` hands an existing
     :class:`~repro.core.batch_engine.PreparedBatch` to the batch backend so
     a session's vectorised distance state is shared instead of rebuilt.
-    ``tile_rows`` / ``tile_candidates`` bound the resident tile of the
-    ``sharded`` backend (:mod:`repro.core.shards`); ``None`` keeps the
-    backend's configured defaults. Other backends ignore them.
 
     ``prune`` selects exactness-preserving candidate pruning
     (:mod:`repro.core.pruning`): ``"auto"`` (default) engages it whenever
@@ -392,15 +390,12 @@ class ExecutionOptions:
 
     All knobs are validated at construction, with the same rules the CLI
     flags enforce: ``n_jobs`` must be a positive integer, ``-1`` (all
-    CPUs) or ``None``; the tile bounds must be positive when given;
-    ``prune`` / ``scan_kernel`` must name a known mode.
+    CPUs) or ``None``; ``prune`` / ``scan_kernel`` must name a known mode.
     """
 
     n_jobs: int | None = 1
     cache: QueryResultCache | bool | None = True
     prepared: PreparedBatch | None = None
-    tile_rows: int | None = None
-    tile_candidates: int | None = None
     prune: str = "auto"
     scan_kernel: str = "auto"
 
@@ -420,10 +415,6 @@ class ExecutionOptions:
                     f"got {self.n_jobs}"
                 )
             resolve_n_jobs(self.n_jobs)  # keep the normalisation path exercised
-        if self.tile_rows is not None:
-            check_positive_int(self.tile_rows, "tile_rows")
-        if self.tile_candidates is not None:
-            check_positive_int(self.tile_candidates, "tile_candidates")
 
 
 @dataclass(frozen=True)
@@ -507,8 +498,8 @@ class Backend(ABC):
         """Run the query: ``(values, stats)``.
 
         ``values`` holds one value per test point (row order); ``stats`` is
-        this call's own observability snapshot (pruning counters, tiling,
-        …), built per call so concurrent callers never share it.
+        this call's own observability snapshot (pruning counters, …), built
+        per call so concurrent callers never share it.
         """
 
 
@@ -704,9 +695,17 @@ def _point_key(t: np.ndarray) -> str:
     return hashlib.sha1(np.ascontiguousarray(t).tobytes()).hexdigest()
 
 
-def _family_key(dataset: IncompleteDataset, test_X: np.ndarray, k: int, kernel: Kernel) -> tuple:
-    """The key of one prepared batch or maintained state: a query family."""
-    return (dataset.fingerprint(), _point_key(test_X), k, kernel_cache_key(kernel))
+def _family_key(
+    dataset: IncompleteDataset, test_X: np.ndarray, k: int, kernel: Kernel
+) -> tuple | None:
+    """The key of one prepared batch or maintained state: a query family.
+
+    ``None`` (uncacheable) when the kernel has no value key.
+    """
+    kernel_key = kernel_cache_key(kernel)
+    if kernel_key is None:
+        return None
+    return (dataset.fingerprint(), _point_key(test_X), k, kernel_key)
 
 
 def _weights_key(weights: list[list[Fraction]]) -> str:
@@ -734,10 +733,12 @@ def _handed_prepared(
 ) -> PreparedBatch | None:
     """``options.prepared`` if it describes exactly this family, else ``None``."""
     handed = options.prepared
+    kernel_key = kernel_cache_key(kernel)
     if (
         handed is not None
+        and kernel_key is not None
         and handed.k == k
-        and kernel_cache_key(handed.kernel) == kernel_cache_key(kernel)
+        and kernel_cache_key(handed.kernel) == kernel_key
         and handed.fingerprint() == dataset.fingerprint()
         and np.array_equal(handed.test_X, test_X)
     ):
@@ -977,9 +978,9 @@ POINT_FUNCTIONS: dict[tuple[str, str, str], Callable] = {
 
 #: Table functions that read a similarity row only through its per-row
 #: ``(min, max)`` extremes (pins collapsed), mapped to the same function of
-#: those extremes, ``fn(task, index, mins, maxs)``. A backend that streams
-#: candidate blocks can then keep ``N``-wide tallies instead of ``P``-wide
-#: rows (the sharded backend does).
+#: those extremes, ``fn(task, index, mins, maxs)``. The partitioned gateway
+#: merges executors' ``N``-wide tallies for them instead of shipping
+#: ``P``-wide rows.
 EXTREME_FUNCTIONS: dict[Callable, Callable] = {_minmax_label: _label_from_extremes}
 
 
@@ -1022,14 +1023,17 @@ def _execute_points(
     Serves what it can from ``cache``, hands the missing point indices to
     the backend's ``evaluate(task, fn, missing)`` — which owns preparation
     and fan-out and returns ``{index: (value, stats)}`` — caches the
-    values, folds the per-point stats and applies the ``check`` kind.
-    Returns ``(task, values, stats)``.
+    values, folds the per-point stats and applies the ``check`` kind. A
+    kernel without a value key bypasses the cache. Returns ``(task,
+    values, stats)``.
     """
     prune = _prune_enabled(query, options)
     fn = _point_function(query, prune)
     implementation = None if options.scan_kernel == "auto" else options.scan_kernel
     task = _TASK_BUILDERS[query.flavor](query, implementation)
     kernel_key = kernel_cache_key(query.kernel)
+    if kernel_key is None:
+        cache = None
     n = query.n_points
     values: list = [None] * n
     keys: list[tuple | None] = [None] * n
@@ -1105,10 +1109,14 @@ class SequentialBackend(Backend):
 # ---------------------------------------------------------------------------
 
 
-def _point_worker(index: int) -> tuple[int, tuple[Any, dict]]:
-    """Pool worker: one table function on one row of the shared matrix."""
+def _point_worker(item: tuple[int, int]) -> tuple[int, tuple[Any, dict]]:
+    """Pool worker: one table function on one row of the shared matrix.
+
+    ``item`` is ``(point index, row of the shared similarity matrix)``.
+    """
+    index, row = item
     task, fn, sims_matrix = get_fanout_state()
-    return index, fn(task, index, sims_matrix[index])
+    return index, fn(task, index, sims_matrix[row])
 
 
 class BatchParallelBackend(Backend):
@@ -1117,9 +1125,14 @@ class BatchParallelBackend(Backend):
     Per ``(dataset, test matrix, k, kernel)`` family one shared
     :class:`PreparedBatch` (kept in a small LRU, or handed in via
     :attr:`ExecutionOptions.prepared`) supplies every point's similarity
-    row from a single kernel call; the table functions run across
-    ``n_jobs`` forked workers, and values land in a fingerprint-keyed
-    result cache shared across calls.
+    row; the table functions run across ``n_jobs`` forked workers, and
+    values land in a fingerprint-keyed result cache shared across calls.
+
+    When the dense ``(T, P)`` matrix would exceed
+    :data:`~repro.core.batch_engine.MEMORY_BUDGET_BYTES` (and no matching
+    batch is handed in), the missing points run in chunks of
+    :func:`~repro.core.batch_engine.budget_rows` rows instead: one
+    similarity matrix and one fan-out per chunk, never kept in the LRU.
     """
 
     name = "batch"
@@ -1143,37 +1156,34 @@ class BatchParallelBackend(Backend):
         return cost, "vectorised preparation + parallel per-point scans"
 
     # ------------------------------------------------------------------
-    def _prepared_for(
-        self,
-        dataset: IncompleteDataset,
-        test_X: np.ndarray,
-        k: int,
-        kernel: Kernel,
-        options: ExecutionOptions,
-    ) -> PreparedBatch:
-        handed = _handed_prepared(options, dataset, test_X, k, kernel)
-        if handed is not None:
-            return handed
-        return self._prepared.get_or_build(
-            _family_key(dataset, test_X, k, kernel),
-            lambda: PreparedBatch(dataset, test_X, k=k, kernel=kernel),
-        )
-
-    # ------------------------------------------------------------------
     def execute(self, query, options=None):
         options = options or ExecutionOptions()
+        test_X, k, kernel = query.test_X, query.k, query.kernel
+
+        def fan_out(task, fn, items, sims_matrix):
+            return fanout_map(
+                _point_worker, items, n_jobs=options.n_jobs, state=(task, fn, sims_matrix)
+            )
 
         def evaluate(task, fn, missing):
-            prepared = self._prepared_for(
-                task.dataset, query.test_X, query.k, query.kernel, options
-            )
-            pairs = fanout_map(
-                _point_worker,
-                missing,
-                n_jobs=options.n_jobs,
-                state=(task, fn, prepared.sims_matrix),
-            )
-            return dict(pairs)
+            dataset = task.dataset
+            rows = budget_rows(query.n_points, int(np.sum(dataset.candidate_counts())))
+            prepared = _handed_prepared(options, dataset, test_X, k, kernel)
+            if prepared is None and rows >= query.n_points:
+                prepared = self._prepared.get_or_build(
+                    _family_key(dataset, test_X, k, kernel),
+                    lambda: PreparedBatch(dataset, test_X, k=k, kernel=kernel),
+                )
+            if prepared is not None:
+                items = [(index, index) for index in missing]
+                return dict(fan_out(task, fn, items, prepared.sims_matrix))
+            results = {}
+            for start in range(0, len(missing), rows):
+                chunk = missing[start : start + rows]
+                sims = similarity_matrix(dataset, test_X[chunk], kernel)
+                items = [(index, row) for row, index in enumerate(chunk)]
+                results.update(fan_out(task, fn, items, sims))
+            return results
 
         _, values, stats = _execute_points(
             query, options, _resolve_cache(options, self.cache), evaluate

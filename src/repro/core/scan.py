@@ -7,11 +7,15 @@ faithful Algorithm-1 implementation, the fast incremental engine, the SS-DC
 tree and the CPClean entropy engine all share a single, consistent total
 order.
 
-There is one preparation path: similarities always come from a single
-``kernel.pairwise`` call over the dataset's cached stacked candidate matrix
+There is one preparation path: similarities always come from
+``kernel.pairwise`` over the dataset's cached stacked candidate matrix
 (:meth:`~repro.core.dataset.IncompleteDataset.stacked_candidates`), whether
 for one test point or a whole test matrix, and :func:`scan_from_sims` sorts
-a candidate-order similarity row into a :class:`ScanOrder`.
+a candidate-order similarity row into a :class:`ScanOrder`. The kernel runs
+over bounded candidate blocks (:func:`similarity_blocks`, at most
+:data:`SIMILARITY_BLOCK_ELEMENTS` broadcast elements each), so a large
+test matrix never materialises a ``T × P × d`` temporary; the kernels
+reduce every candidate on its own, so blocking never changes a bit.
 
 The total order extends the tie-break of :mod:`repro.core.knn`: candidates
 are ranked by ``(similarity, row index desc, candidate index desc)`` in scan
@@ -22,22 +26,29 @@ paper's "break a tie by favoring a smaller i and j".
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.dataset import IncompleteDataset
 from repro.core.kernels import Kernel, resolve_kernel
-from repro.utils.validation import check_vector
+from repro.utils.validation import check_matrix, check_vector
 
 __all__ = [
+    "SIMILARITY_BLOCK_ELEMENTS",
     "ScanOrder",
     "compute_scan_order",
     "compute_scan_orders",
     "scan_from_sims",
+    "similarity_blocks",
     "similarity_matrix",
     "sorted_scan",
 ]
+
+#: Upper bound on the ``T × C × d`` elements one ``kernel.pairwise`` block
+#: broadcasts (``T`` test points, ``C`` candidates, ``d`` features).
+SIMILARITY_BLOCK_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -105,14 +116,39 @@ def sorted_scan(
     )
 
 
+def similarity_blocks(
+    dataset: IncompleteDataset, test_X: np.ndarray, kernel: Kernel | str | None = None
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``(c0, c1, block)`` per bounded candidate block of ``test_X``'s similarities.
+
+    ``block`` is ``kernel.pairwise`` over stacked candidates ``[c0, c1)``,
+    shape ``(T, c1 - c0)``. Each block covers as many candidates ``C`` as
+    keep ``T × C × d`` within :data:`SIMILARITY_BLOCK_ELEMENTS` (at least
+    one); the spans partition the stacked order, whatever the row segments.
+    """
+    kernel = resolve_kernel(kernel)
+    test_X = np.asarray(test_X, dtype=np.float64)  # pairwise validates it
+    stacked = dataset.stacked_candidates()[0]
+    n_candidates = stacked.shape[0]
+    step = max(1, SIMILARITY_BLOCK_ELEMENTS // max(1, test_X.size))
+    for c0 in range(0, n_candidates, step):
+        c1 = min(c0 + step, n_candidates)
+        yield c0, c1, kernel.pairwise(stacked[c0:c1], test_X)
+
+
 def similarity_matrix(
     dataset: IncompleteDataset, test_X: np.ndarray, kernel: Kernel | str | None = None
 ) -> np.ndarray:
     """The ``(T, P)`` candidate-order similarity matrix of ``test_X``.
 
-    One ``kernel.pairwise`` call over the stacked candidate matrix.
+    Filled block by block from :func:`similarity_blocks` into one
+    preallocated array — bit-identical to one dense ``pairwise`` call.
     """
-    return resolve_kernel(kernel).pairwise(dataset.stacked_candidates()[0], test_X)
+    test_X = check_matrix(test_X, "test_X", n_cols=dataset.n_features)
+    out = np.empty((test_X.shape[0], int(dataset.stacked_candidates()[4][-1])))
+    for c0, c1, block in similarity_blocks(dataset, test_X, kernel):
+        out[:, c0:c1] = block
+    return out
 
 
 def compute_scan_order(

@@ -14,7 +14,7 @@ Two query operations exist, one per kind of input the planner's table
 functions read (:data:`repro.core.planner.POINT_FUNCTIONS`):
 
 * ``minmax`` — per-row min/max similarity tallies over the slice, from
-  the one extremes fold :func:`repro.core.shards.stream_extremes`, with
+  the one extremes fold :func:`repro.core.minmax.stream_extremes`, with
   the partition's pins collapsed to their pinned candidate. Only
   ``(n_points, n_rows_local)`` floats ride back.
 * ``sims`` — :func:`~repro.core.scan.similarity_matrix` of the slice,
@@ -39,8 +39,8 @@ import numpy as np
 
 from repro.core.dataset import IncompleteDataset
 from repro.core.kernels import resolve_kernel
+from repro.core.minmax import stream_extremes
 from repro.core.scan import similarity_matrix
-from repro.core.shards import stream_extremes
 
 __all__ = ["serve_executor", "executor_main"]
 

@@ -310,17 +310,25 @@ def decode_relation(payload: Any) -> Relation:
 
 
 def decode_pins(payload: Any) -> dict[int, int]:
-    """``[[row, candidate], ...]`` (or a mapping) → pins dict."""
+    """``[[row, candidate], ...]`` (or a mapping) → pins dict.
+
+    A row pinned to two different candidates is malformed; repeating the
+    same pair is not.
+    """
     if payload is None:
         return {}
     try:
-        if isinstance(payload, dict):
-            return {int(row): int(cand) for row, cand in payload.items()}
-        return {int(row): int(cand) for row, cand in payload}
+        pairs = payload.items() if isinstance(payload, dict) else payload
+        pairs = [(int(row), int(cand)) for row, cand in pairs]
     except (TypeError, ValueError) as exc:
         raise WireError(
             f"pins must be [[row, candidate], ...] pairs: {exc}"
         ) from None
+    pins: dict[int, int] = {}
+    for row, cand in pairs:
+        if pins.setdefault(row, cand) != cand:
+            raise WireError(f"row {row} pinned to two candidates ({pins[row]} and {cand})")
+    return pins
 
 
 def decode_weights(payload: Any) -> list[list[Fraction]] | None:

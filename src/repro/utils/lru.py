@@ -93,9 +93,11 @@ class LRU:
 
         ``build`` runs outside the lock, so a slow build never blocks other
         keys (two threads missing the same key both build; the later store
-        wins). An unhashable key is built every time and never cached; an
-        exception from ``build`` propagates and stores nothing.
+        wins). A ``None`` or unhashable key is built every time and never
+        cached; an exception from ``build`` propagates and stores nothing.
         """
+        if key is None:
+            return build()
         try:
             with self._lock:
                 value = self._lookup(key)

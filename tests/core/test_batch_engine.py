@@ -80,6 +80,20 @@ class TestPreparedBatch:
         with pytest.raises(ValueError, match="exceeds the number of training rows"):
             PreparedBatch(dataset, test_X, k=10)
 
+    def test_accepts_precomputed_sims(self):
+        dataset, test_X = _workload(seed=9)
+        dense = PreparedBatch(dataset, test_X, k=2)
+        handed = PreparedBatch(dataset, test_X, k=2, sims_matrix=dense.sims_matrix)
+        assert handed.sims_matrix is dense.sims_matrix  # no copy
+        for index in range(len(test_X)):
+            assert np.array_equal(handed.scan(index).rows, dense.scan(index).rows)
+            assert np.array_equal(handed.scan(index).sims, dense.scan(index).sims)
+
+    def test_rejects_misshaped_sims(self):
+        dataset, _ = _workload(seed=10)
+        with pytest.raises(ValueError, match="sims_matrix"):
+            PreparedBatch(dataset, np.zeros((2, 2)), k=1, sims_matrix=np.zeros((2, 3)))
+
 
 class TestBatchCountsEquivalence:
     @pytest.mark.parametrize("n_labels", [2, 3])
@@ -185,8 +199,9 @@ class TestResultCache:
             def similarities(self, candidates, t):  # pragma: no cover
                 raise NotImplementedError
 
-        a, b = OpaqueKernel(), OpaqueKernel()
-        assert kernel_cache_key(a) != kernel_cache_key(b)
+        # No value key: any cache must skip such a kernel (None = uncacheable),
+        # never key it by address, which a recycled object could alias.
+        assert kernel_cache_key(OpaqueKernel()) is None
         # Value-based reprs intentionally share keys across equal instances.
         assert kernel_cache_key(RBFKernel(2.0)) == kernel_cache_key(RBFKernel(2.0))
         assert kernel_cache_key(RBFKernel(2.0)) != kernel_cache_key(RBFKernel(3.0))
@@ -354,3 +369,63 @@ class TestScreeningIntegration:
         assert parallel.counts == result.counts
         assert parallel.certain_labels == result.certain_labels
         assert parallel.entropies == result.entropies
+
+
+class TestMemoryBudget:
+    """Over :data:`MEMORY_BUDGET_BYTES` the batch backend runs bounded row chunks."""
+
+    @staticmethod
+    def _queries():
+        from fractions import Fraction
+
+        from repro.core.label_uncertainty import LabelUncertainDataset
+        from repro.core.planner import make_query
+
+        binary, test_X = _workload(seed=20, n_rows=10, n_val=5)
+        multi, _ = _workload(seed=21, n_rows=10, n_val=5, n_labels=3)
+        pins = {binary.uncertain_rows()[0]: 1}
+        lu_pins = {multi.uncertain_rows()[0]: 1}
+        weights = [[Fraction(1, int(m))] * int(m) for m in binary.candidate_counts()]
+        lu = LabelUncertainDataset.from_incomplete(multi, flip_rows=[0, 3])
+        queries = [make_query(binary, test_X, kind="counts", flavor="topk", k=2, pins=pins)]
+        for kind in ("counts", "certain_label", "check"):
+            queries += [
+                make_query(binary, test_X, kind=kind, k=2, pins=pins, label=0),
+                make_query(multi, test_X, kind=kind, k=2, label=1),
+                make_query(binary, test_X, kind=kind, k=2, weights=weights, label=0),
+                make_query(lu, test_X, kind=kind, k=2, pins=lu_pins, label=1),
+            ]
+        return queries
+
+    @pytest.mark.parametrize("budget_rows", [1, 2])
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_chunks_stay_within_budget_and_match_sequential(
+        self, monkeypatch, budget_rows, n_jobs
+    ):
+        from repro.core import batch_engine, planner
+        from repro.core.planner import ExecutionOptions, execute_query
+
+        queries = self._queries()
+        assert {q.flavor for q in queries} == set(planner.FLAVORS)
+        references = [execute_query(q, backend="sequential").values for q in queries]
+        widest = max(int(np.sum(q.dataset.candidate_counts())) for q in queries)
+        budget = budget_rows * widest * 8
+        monkeypatch.setattr(batch_engine, "MEMORY_BUDGET_BYTES", budget)
+        buffers = []
+        real = planner.similarity_matrix
+
+        def recording(*args, **kwargs):
+            buffers.append(real(*args, **kwargs))
+            return buffers[-1]
+
+        monkeypatch.setattr(planner, "similarity_matrix", recording)
+        monkeypatch.setattr(batch_engine, "similarity_matrix", recording)
+        options = ExecutionOptions(cache=False, n_jobs=n_jobs)
+        for query, reference in zip(queries, references):
+            buffers.clear()
+            values = execute_query(query, backend="batch", options=options).values
+            assert values == reference, query
+            assert buffers, query
+            for sims in buffers:
+                assert sims.nbytes <= budget or sims.shape[0] == 1, query
+                assert sims.shape[0] < query.n_points, query

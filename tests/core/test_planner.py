@@ -8,6 +8,7 @@ the counting flavors must match the brute-force world enumeration.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -61,7 +62,7 @@ def capable_names(query) -> list[str]:
 
 class TestRegistry:
     def test_default_backends_registered(self):
-        assert backend_names() == ["sequential", "batch", "incremental", "sharded"]
+        assert backend_names() == ["sequential", "batch", "incremental"]
 
     def test_get_backend_unknown_raises(self):
         with pytest.raises(PlanError, match="unknown backend"):
@@ -74,7 +75,6 @@ class TestRegistry:
     def test_declared_capabilities(self):
         assert get_backend("incremental").capabilities.incremental
         assert get_backend("batch").capabilities.batchable
-        assert get_backend("sharded").capabilities.batchable
         assert not get_backend("sequential").capabilities.batchable
         for name in backend_names():
             assert get_backend(name).capabilities.exact
@@ -112,7 +112,7 @@ class TestRegistryErrorPaths:
         with pytest.raises(PlanError) as excinfo:
             get_backend("gpu")
         message = str(excinfo.value)
-        for name in ("sequential", "batch", "incremental", "sharded"):
+        for name in ("sequential", "batch", "incremental"):
             assert name in message
 
     def test_unknown_backend_raises_through_plan_and_execute(self):
@@ -129,7 +129,7 @@ class TestRegistryErrorPaths:
         with pytest.raises(PlanError, match="cannot serve"):
             plan_query(query, backend="incremental")
 
-    @pytest.mark.parametrize("backend", ["batch", "incremental", "sharded"])
+    @pytest.mark.parametrize("backend", ["batch", "incremental"])
     def test_capability_mismatch_algorithm(self, backend):
         # Only the sequential backend honours the published algorithm
         # overrides; every other explicit request must fail loudly.
@@ -147,20 +147,20 @@ class TestRegistryErrorPaths:
     def test_double_registration_rejected_and_registry_intact(self):
         before = backend_names()
         with pytest.raises(ValueError, match="already registered"):
-            register_backend(get_backend("sharded"))
+            register_backend(get_backend("batch"))
         assert backend_names() == before
 
     def test_replace_reregisters_under_same_name(self):
-        original = get_backend("sharded")
+        original = get_backend("batch")
         try:
-            from repro.core.shards import ShardedBackend
+            from repro.core.planner import BatchParallelBackend
 
-            replacement = ShardedBackend(tile_rows=2)
+            replacement = BatchParallelBackend(prepared_cache_size=2)
             assert register_backend(replacement, replace=True) is replacement
-            assert get_backend("sharded") is replacement
+            assert get_backend("batch") is replacement
         finally:
             register_backend(original, replace=True)
-        assert get_backend("sharded") is original
+        assert get_backend("batch") is original
 
 
 class TestPlanning:
@@ -230,6 +230,15 @@ class TestMakeQuery:
             make_query(dataset, np.zeros((1, 2)), k=1, pins={0: 99})
         with pytest.raises(ValueError, match="exceeds"):
             make_query(dataset, np.zeros((1, 2)), k=99)
+
+    def test_row_pinned_to_two_candidates_rejected(self):
+        dataset = random_dataset(9)
+        row = dataset.uncertain_rows()[0]
+        with pytest.raises(ValueError, match=f"row {row} pinned to two candidates"):
+            make_query(dataset, np.zeros((1, 2)), k=1, pins=[(row, 0), (row, 1)])
+        # Repeating the same pin is harmless.
+        query = make_query(dataset, np.zeros((1, 2)), k=1, pins=[(row, 1), (row, 1)])
+        assert query.pins == ((row, 1),)
 
 
 class TestEquivalenceMatrix:
@@ -380,6 +389,28 @@ class TestCachingAndOptions:
         assert values == execute_query(query, backend="sequential").values
         assert not backend._prepared  # the handed-in batch was used, not rebuilt
 
+    def test_kernel_without_repr_bypasses_caches(self):
+        # Such a kernel has no value key: its results must neither be served
+        # from nor stored into any cache, where nothing could ever hit them.
+        from repro.core.kernels import NegativeEuclideanKernel
+        from repro.core.planner import BatchParallelBackend
+
+        class OpaqueKernel(NegativeEuclideanKernel):
+            __repr__ = object.__repr__
+
+        batch, incremental = BatchParallelBackend(), IncrementalBackend()
+        kernel = OpaqueKernel()
+        dataset = random_dataset(34)
+        test_X = np.random.default_rng(34).normal(size=(5, 2))
+        query = make_query(dataset, test_X, kind="counts", k=2, kernel=kernel)
+        reference = execute_query(query, backend="sequential").values
+        for _ in range(3):
+            assert batch.execute(query, ExecutionOptions(cache=True))[0] == reference
+            assert incremental.execute(query, ExecutionOptions())[0] == reference
+        assert len(batch.cache) == 0 and batch.cache.hits == 0
+        assert len(batch._prepared) == 0
+        assert len(incremental._states) == 0
+
     def test_n_jobs_does_not_change_results(self):
         dataset = random_dataset(33)
         test_X = np.random.default_rng(33).normal(size=(6, 2))
@@ -396,7 +427,7 @@ class TestExecutionOptionsValidation:
         ExecutionOptions()
         ExecutionOptions(n_jobs=None)
         ExecutionOptions(n_jobs=-1)  # the all-CPUs sentinel
-        ExecutionOptions(n_jobs=4, tile_rows=8, tile_candidates=128)
+        ExecutionOptions(n_jobs=4, prune="on", scan_kernel="numpy")
         ExecutionOptions(n_jobs=np.int64(2))  # numpy integers are integers
 
     def test_zero_n_jobs_rejected(self):
@@ -415,14 +446,10 @@ class TestExecutionOptionsValidation:
         with pytest.raises(TypeError, match="n_jobs"):
             ExecutionOptions(n_jobs=True)
 
-    @pytest.mark.parametrize("knob", ["tile_rows", "tile_candidates"])
-    def test_tile_bounds_must_be_positive(self, knob):
-        with pytest.raises(ValueError, match=knob):
-            ExecutionOptions(**{knob: 0})
-        with pytest.raises(ValueError, match=knob):
-            ExecutionOptions(**{knob: -3})
-        with pytest.raises(TypeError, match=knob):
-            ExecutionOptions(**{knob: 2.0})
+    def test_only_wall_clock_knobs(self):
+        # Memory bounds are module constants, not options.
+        names = [field.name for field in dataclasses.fields(ExecutionOptions)]
+        assert names == ["n_jobs", "cache", "prepared", "prune", "scan_kernel"]
 
 
 class TestFrontDoorGuards:
@@ -460,7 +487,7 @@ class TestSessionBackends:
             name: run_cp_clean(
                 task.incomplete, task.val_X, oracle, k=task.k, backend=name
             )
-            for name in ("auto", "sequential", "batch", "incremental", "sharded")
+            for name in ("auto", "sequential", "batch", "incremental")
         }
         reference = reports["auto"]
         for name, report in reports.items():

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core import scan
 from repro.core.dataset import IncompleteDataset
+from repro.core.kernels import (
+    CosineKernel,
+    Kernel,
+    LinearKernel,
+    NegativeEuclideanKernel,
+    RBFKernel,
+)
 from repro.core.scan import compute_scan_order, similarity_matrix
 from tests.conftest import random_incomplete_dataset
 
@@ -34,6 +42,69 @@ class TestCandidateSimilarities:
         for row in range(dataset.n_rows):
             expected = kernel.similarities(dataset.candidates(row), t)
             assert np.array_equal(sims[row], expected)
+
+
+class NegativeManhattanKernel(Kernel):
+    """A user kernel: only ``similarities``, the inherited ``pairwise`` loops."""
+
+    def similarities(self, candidates, t):
+        return -np.abs(candidates - t[None, :]).sum(axis=1)
+
+
+def ragged_workload(seed=0, n_points=4, n_features=3):
+    rng = np.random.default_rng(seed)
+    dataset = random_incomplete_dataset(
+        rng, n_rows=12, max_candidates=4, n_features=n_features
+    )
+    return dataset, rng.normal(size=(n_points, n_features))
+
+
+class TestBlockedSimilarity:
+    """``similarity_matrix`` fills its output in bounded kernel blocks."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            NegativeEuclideanKernel(),
+            RBFKernel(0.5),
+            LinearKernel(),
+            CosineKernel(),
+            NegativeManhattanKernel(),
+        ],
+        ids=lambda kernel: type(kernel).__name__,
+    )
+    @pytest.mark.parametrize("block_candidates", [1, 7, None])
+    def test_blocked_equals_one_dense_pairwise(self, monkeypatch, kernel, block_candidates):
+        dataset, test_X = ragged_workload()
+        stacked = dataset.stacked_candidates()[0]
+        dense = kernel.pairwise(stacked, test_X)
+        if block_candidates is not None:
+            # Blocks of 7 candidates cut rows' candidate segments mid-way.
+            monkeypatch.setattr(
+                scan, "SIMILARITY_BLOCK_ELEMENTS", block_candidates * test_X.size
+            )
+        assert np.array_equal(similarity_matrix(dataset, test_X, kernel), dense)
+
+    @pytest.mark.parametrize("elements", [1, 50, 2**20])
+    def test_blocks_stay_within_the_element_bound(self, monkeypatch, elements):
+        shapes = []
+
+        class Recording(NegativeEuclideanKernel):
+            def pairwise(self, candidates, test_X):
+                shapes.append((test_X.shape[0], *candidates.shape))
+                return super().pairwise(candidates, test_X)
+
+        dataset, test_X = ragged_workload(seed=1)
+        monkeypatch.setattr(scan, "SIMILARITY_BLOCK_ELEMENTS", elements)
+        similarity_matrix(dataset, test_X, Recording())
+        assert sum(c for _, c, _ in shapes) == dataset.stacked_candidates()[0].shape[0]
+        for t, c, d in shapes:
+            assert t * c * d <= elements or c == 1
+
+    def test_empty_test_matrix(self):
+        dataset, _ = ragged_workload(seed=2)
+        sims = similarity_matrix(dataset, np.empty((0, dataset.n_features)))
+        assert sims.shape == (0, dataset.stacked_candidates()[0].shape[0])
 
 
 class TestScanOrder:

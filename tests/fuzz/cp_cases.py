@@ -30,7 +30,7 @@ from repro.core.planner import make_query
 
 __all__ = [
     "BACKENDS",
-    "TILE_CONFIGS",
+    "TIGHT_LIMITS",
     "SEEDS",
     "FLAVOR_CYCLE",
     "KERNEL_CYCLE",
@@ -42,10 +42,15 @@ __all__ = [
 
 #: The backends the harness differentiates (a capability-filtered subset
 #: runs per query). Order matters only for error messages.
-BACKENDS = ("sequential", "batch", "incremental", "sharded")
+BACKENDS = ("sequential", "batch", "incremental")
 
-#: Small tiles (split candidate segments) and oversized tiles (single tile).
-TILE_CONFIGS = ((1, 3), (10_000, 10_000))
+#: ``(module constant, value)`` pairs that, monkeypatched, make the batch
+#: backend evaluate one-row chunks whose kernel blocks hold one candidate,
+#: so every multi-candidate row segment is split across blocks.
+TIGHT_LIMITS = (
+    ("repro.core.batch_engine.MEMORY_BUDGET_BYTES", 1),
+    ("repro.core.scan.SIMILARITY_BLOCK_ELEMENTS", 1),
+)
 
 SEEDS = list(range(60))
 

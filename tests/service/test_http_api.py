@@ -280,6 +280,18 @@ class TestErrorPaths:
         assert payload["error"]["code"] == "malformed_payload"
         assert "single test point" in payload["error"]["message"]
 
+    def test_row_pinned_to_two_candidates_is_400(self, service):
+        server, client = service
+        body = {"dataset": "d", "point": [0.0, 0.0], "pins": [[1, 0], [1, 2]]}
+        status, payload = post_raw(server, "/query", json.dumps(body).encode())
+        assert status == 400
+        assert payload["error"]["code"] == "malformed_payload"
+        assert "pinned to two candidates" in payload["error"]["message"]
+        # Repeating the same pin is harmless.
+        body["pins"] = [[1, 2], [1, 2]]
+        status, payload = post_raw(server, "/query", json.dumps(body).encode())
+        assert status == 200, payload
+
     def test_bad_point_shape_is_400(self, service):
         server, client = service
         with pytest.raises(ServiceError) as excinfo:

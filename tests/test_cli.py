@@ -46,7 +46,7 @@ class TestParser:
         assert args.n_jobs == -1
 
     def test_backend_flag_parses(self):
-        for backend in ("auto", "sequential", "batch", "incremental", "sharded"):
+        for backend in ("auto", "sequential", "batch", "incremental"):
             args = build_parser().parse_args(["screen", "--backend", backend])
             assert args.backend == backend
 
@@ -54,15 +54,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["screen", "--backend", "gpu"])
 
-    def test_tile_flags_parse(self):
-        args = build_parser().parse_args(
-            ["screen", "--tile-rows", "16", "--tile-candidates", "1024"]
-        )
-        assert args.tile_rows == 16
-        assert args.tile_candidates == 1024
-        defaults = build_parser().parse_args(["screen"])
-        assert defaults.tile_rows is None
-        assert defaults.tile_candidates is None
+    def test_tile_flags_removed(self):
+        # Memory is bounded by module constants; there is no tiling knob.
+        for argv in (["--backend", "sharded"], ["--tile-rows", "16"], ["--tile-candidates", "8"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["screen", *argv])
 
 
 class TestServeParser:
@@ -258,17 +254,17 @@ class TestFlagValidation:
             build_parser().parse_args(["screen", "--n-jobs", "two"])
         assert "--n-jobs must be an integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--tile-rows", "--tile-candidates"])
+    @pytest.mark.parametrize("flag", ["--max-batch", "--trace-buffer"])
     @pytest.mark.parametrize("value", ["0", "-1", "-64"])
-    def test_tile_flags_reject_non_positive(self, flag, value, capsys):
+    def test_positive_int_flags_reject_non_positive(self, flag, value, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["screen", flag, value])
+            build_parser().parse_args(["serve", flag, value])
         assert f"{flag} must be a positive integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--tile-rows", "--tile-candidates"])
-    def test_tile_flags_reject_non_integers(self, flag, capsys):
+    @pytest.mark.parametrize("flag", ["--max-batch", "--trace-buffer"])
+    def test_positive_int_flags_reject_non_integers(self, flag, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["screen", flag, "many"])
+            build_parser().parse_args(["serve", flag, "many"])
         assert f"{flag} must be an integer" in capsys.readouterr().err
 
 
@@ -322,7 +318,7 @@ class TestCommands:
         base_args = ["--n-train", "40", "--n-val", "8", "--n-test", "20", "--seed", "1"]
         assert main(["screen", *base_args]) == 0
         reference = capsys.readouterr().out
-        for backend in ("sequential", "batch", "incremental", "sharded"):
+        for backend in ("sequential", "batch", "incremental"):
             assert main(["screen", *base_args, "--backend", backend]) == 0
             assert capsys.readouterr().out == reference, backend
 
@@ -336,14 +332,15 @@ class TestCommands:
         assert main(["clean", *base_args, "--backend", "incremental"]) == 0
         assert capsys.readouterr().out == reference
 
-    def test_sharded_tiling_does_not_change_results(self, capsys):
+    def test_budget_chunking_does_not_change_results(self, capsys, monkeypatch):
         base_args = ["--n-train", "40", "--n-val", "8", "--n-test", "20", "--seed", "1"]
         assert main(["screen", *base_args]) == 0
         reference = capsys.readouterr().out
-        sharded = [
-            "--backend", "sharded", "--tile-rows", "3", "--tile-candidates", "17",
-        ]
-        assert main(["screen", *base_args, *sharded]) == 0
+        # One-row chunks, one candidate per kernel block.
+        monkeypatch.setattr("repro.core.batch_engine.MEMORY_BUDGET_BYTES", 1)
+        monkeypatch.setattr("repro.core.scan.SIMILARITY_BLOCK_ELEMENTS", 1)
+        chunked = ["--backend", "batch", "--no-cache"]
+        assert main(["screen", *base_args, *chunked]) == 0
         assert capsys.readouterr().out == reference
-        assert main(["screen", *base_args, *sharded, "--n-jobs", "2"]) == 0
+        assert main(["screen", *base_args, *chunked, "--n-jobs", "2"]) == 0
         assert capsys.readouterr().out == reference
