@@ -429,3 +429,115 @@ class TestMemoryBudget:
             for sims in buffers:
                 assert sims.nbytes <= budget or sims.shape[0] == 1, query
                 assert sims.shape[0] < query.n_points, query
+
+
+def _ragged_dataset(seed: int = 0, n_rows: int = 8, n_labels: int = 2):
+    rng = np.random.default_rng(seed)
+    sets = [rng.normal(size=(int(rng.integers(1, 4)), 2)) for _ in range(n_rows)]
+    labels = [int(label) for label in rng.integers(0, n_labels, size=n_rows)]
+    labels[0] = 0
+    labels[1] = n_labels - 1
+    return IncompleteDataset(sets, labels)
+
+
+class TestChunkBoundaries:
+    """Batch results never depend on where row chunks or candidate blocks fall."""
+
+    # ``(chunk_rows, block_candidates)``: chunks of one row, blocks of one
+    # candidate (every row segment split), blocks of three (misaligned with
+    # the ragged segments), and chunks or blocks far larger than the data.
+    CONFIGS = [(1, 1), (1, 3), (2, 3), (3, 5), (8, 10_000), (10_000, 1), (10_000, 10_000)]
+
+    @staticmethod
+    def _bound(monkeypatch, query, chunk_rows, block_candidates):
+        """Monkeypatch the two constants to ``chunk_rows`` × ``block_candidates``."""
+        from repro.core import batch_engine, scan
+
+        n_candidates = int(np.sum(query.dataset.candidate_counts()))
+        rows = min(chunk_rows, query.n_points)
+        monkeypatch.setattr(
+            batch_engine, "MEMORY_BUDGET_BYTES", chunk_rows * n_candidates * 8
+        )
+        monkeypatch.setattr(
+            scan,
+            "SIMILARITY_BLOCK_ELEMENTS",
+            block_candidates * rows * query.dataset.n_features,
+        )
+
+    @staticmethod
+    def _reference(query):
+        from repro.core.planner import ExecutionOptions, execute_query
+
+        return execute_query(
+            query, backend="sequential", options=ExecutionOptions(cache=False)
+        ).values
+
+    @staticmethod
+    def _batch(query, n_jobs=1):
+        from repro.core.planner import ExecutionOptions, execute_query
+
+        return execute_query(
+            query, backend="batch", options=ExecutionOptions(cache=False, n_jobs=n_jobs)
+        ).values
+
+    @pytest.mark.parametrize("chunk_rows,block_candidates", CONFIGS)
+    @pytest.mark.parametrize("kind", ["counts", "certain_label"])
+    def test_boundaries_binary(self, monkeypatch, chunk_rows, block_candidates, kind):
+        from repro.core.planner import make_query
+
+        dataset = _ragged_dataset(1)
+        test_X = np.random.default_rng(1).normal(size=(5, 2))
+        pins = {dataset.uncertain_rows()[0]: 0}
+        query = make_query(dataset, test_X, kind=kind, k=2, pins=pins)
+        reference = self._reference(query)
+        self._bound(monkeypatch, query, chunk_rows, block_candidates)
+        assert self._batch(query) == reference
+
+    @pytest.mark.parametrize("chunk_rows,block_candidates", CONFIGS)
+    def test_boundaries_multiclass(self, monkeypatch, chunk_rows, block_candidates):
+        from repro.core.planner import make_query
+
+        dataset = _ragged_dataset(2, n_labels=3)
+        test_X = np.random.default_rng(2).normal(size=(4, 2))
+        query = make_query(dataset, test_X, kind="counts", k=2)
+        reference = self._reference(query)
+        self._bound(monkeypatch, query, chunk_rows, block_candidates)
+        assert self._batch(query) == reference
+
+    @pytest.mark.parametrize("n_jobs", [1, 2, 4])
+    def test_n_jobs_does_not_change_chunked_results(self, monkeypatch, n_jobs):
+        from repro.core.planner import make_query
+
+        dataset = _ragged_dataset(3, n_rows=10, n_labels=3)
+        test_X = np.random.default_rng(3).normal(size=(7, 2))
+        query = make_query(dataset, test_X, kind="counts", k=3)
+        reference = self._reference(query)
+        self._bound(monkeypatch, query, 3, 4)
+        assert self._batch(query, n_jobs=n_jobs) == reference
+
+    def test_pooled_and_in_process_agree_on_every_flavor(self, monkeypatch):
+        from repro.core.label_uncertainty import LabelUncertainDataset
+        from repro.core.planner import make_query
+
+        dataset = _ragged_dataset(4, n_rows=9)
+        lu = LabelUncertainDataset.from_incomplete(dataset, flip_rows=[0, 3])
+        test_X = np.random.default_rng(4).normal(size=(6, 2))
+        queries = {
+            flavor: make_query(dataset, test_X, kind="counts", flavor=flavor, k=2)
+            for flavor in ("binary", "multiclass", "weighted", "topk")
+        }
+        queries["label_uncertainty"] = make_query(lu, test_X, kind="counts", k=2)
+        for flavor, query in queries.items():
+            reference = self._reference(query)
+            with monkeypatch.context() as patch:
+                self._bound(patch, query, 2, 5)
+                runs = [self._batch(query, n_jobs=jobs) for jobs in (1, 3)]
+            assert runs[0] == runs[1] == reference, flavor
+
+    def test_empty_test_set_under_budget(self, monkeypatch):
+        from repro.core.planner import make_query
+
+        dataset = _ragged_dataset(5)
+        query = make_query(dataset, np.empty((0, 2)), kind="counts", k=2)
+        self._bound(monkeypatch, query, 1, 1)
+        assert self._batch(query) == []
