@@ -11,7 +11,7 @@ pins are applied per request on top of it — so a flush costs one
 scatter-gather instead of a re-preparation.
 
 Two runs over the *same* workload (identical points, identical pins,
-identical broker settings — window, max_batch, caching off so every
+identical broker settings — max_batch, caching off so every
 request really executes):
 
 * **single-process** — the classic broker topology;
@@ -54,8 +54,8 @@ N_THREADS = 16
 N_EXECUTORS = 4
 
 _WORKLOADS = {
-    "smoke": dict(n_rows=6_000, per_thread=3, window_s=0.005, max_batch=16),
-    "default": dict(n_rows=12_000, per_thread=8, window_s=0.005, max_batch=16),
+    "smoke": dict(n_rows=6_000, per_thread=3, max_batch=16),
+    "default": dict(n_rows=12_000, per_thread=8, max_batch=16),
 }
 
 
@@ -82,7 +82,6 @@ def _client_load(
     points: np.ndarray,
     session_pins: list[dict],
     per_thread: int,
-    window_s: float,
     max_batch: int,
     gateway: Gateway | None,
 ) -> tuple[float, list, dict]:
@@ -91,7 +90,6 @@ def _client_load(
     registry.register("bench", dataset, k=3)
     broker = QueryBroker(
         registry,
-        window_s=window_s,
         max_batch=max_batch,
         max_pending=4 * len(points),
         cache=False,  # every request must actually execute
@@ -151,11 +149,11 @@ def main(argv=None) -> int:
 
     t_single, values_single, metrics_single = _client_load(
         dataset, points, session_pins, size["per_thread"],
-        size["window_s"], size["max_batch"], gateway=None,
+        size["max_batch"], gateway=None,
     )
     t_gateway, values_gateway, metrics_gateway = _client_load(
         dataset, points, session_pins, size["per_thread"],
-        size["window_s"], size["max_batch"], gateway=Gateway(N_EXECUTORS),
+        size["max_batch"], gateway=Gateway(N_EXECUTORS),
     )
 
     assert values_gateway == values_single, (

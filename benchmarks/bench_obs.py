@@ -44,15 +44,14 @@ REPEATS = 3
 OVERHEAD_BAR = 0.05
 
 _WORKLOADS = {
-    "smoke": dict(n_train=100, n_points=128, max_batch=16, window_s=0.01),
-    "default": dict(n_train=150, n_points=256, max_batch=32, window_s=0.01),
+    "smoke": dict(n_train=100, n_points=128, max_batch=16),
+    "default": dict(n_train=150, n_points=256, max_batch=32),
 }
 
 
 def _client_load(
     registry: DatasetRegistry,
     points: np.ndarray,
-    window_s: float,
     max_batch: int,
     trace: bool,
 ) -> tuple[float, list, dict]:
@@ -60,7 +59,6 @@ def _client_load(
     obs = Observability(enabled=trace)
     broker = QueryBroker(
         registry,
-        window_s=window_s,
         max_batch=max_batch,
         max_pending=4 * len(points),
         cache=False,  # every request must actually execute
@@ -111,9 +109,7 @@ def main(argv=None) -> int:
     points = rng.normal(size=(size["n_points"], entry.dataset.n_features)) * 0.5
 
     # one throwaway pass warms numba/numpy caches shared by both modes
-    _client_load(
-        registry, points[:16], size["window_s"], size["max_batch"], trace=False
-    )
+    _client_load(registry, points[:16], size["max_batch"], trace=False)
 
     best: dict[bool, float] = {}
     values: dict[bool, list] = {}
@@ -122,7 +118,7 @@ def main(argv=None) -> int:
         # alternate modes so drift (thermal, cache) hits both equally
         for trace in (False, True):
             elapsed, run_values, run_stats = _client_load(
-                registry, points, size["window_s"], size["max_batch"], trace=trace
+                registry, points, size["max_batch"], trace=trace
             )
             if trace not in best or elapsed < best[trace]:
                 best[trace] = elapsed

@@ -51,7 +51,7 @@ def main() -> None:
     entry = registry.register_recipe(
         "supreme", recipe="supreme", n_train=80, n_val=12, seed=0
     )
-    server = make_service(registry, window_s=0.0, executors=2)
+    server = make_service(registry, executors=2)
     client = ServiceClient(server.url)
     print(f"service up at {server.url} with a 2-executor gateway")
 

@@ -1,4 +1,4 @@
-"""Serve CP queries over HTTP: registry, micro-batching broker, client.
+"""Serve CP queries over HTTP: registry, group-commit broker, client.
 
 The one-process tour of :mod:`repro.service`. A production deployment
 would run ``repro serve --recipe supreme --port 8970`` and point
@@ -8,8 +8,9 @@ thread so the example is self-contained:
 
 1. register a dirty-dataset recipe (its validation set's prepared
    distance state gets pinned warm server-side);
-2. answer single-point queries — concurrent callers on the same query
-   family are coalesced into one planner batch call (micro-batching);
+2. answer single-point queries by group commit — a query whose family
+   is idle runs at once, and the callers that arrive while it runs are
+   coalesced into the family's next planner batch call;
 3. drive a cleaning session over the wire with ``/clean/step`` and
    watch the certain-prediction fraction climb;
 4. read ``/metrics`` to see batching, cache and admission counters.
@@ -34,7 +35,7 @@ def main() -> None:
     entry = registry.register_recipe(
         "supreme", recipe="supreme", n_train=80, n_val=12, seed=0
     )
-    server = make_service(registry, window_s=0.01, max_batch=16)
+    server = make_service(registry, max_batch=16)
     client = ServiceClient(server.url)
     print(f"service up at {server.url}: {client.healthz()['datasets']}")
 
@@ -47,9 +48,11 @@ def main() -> None:
         f"(backend {response['backend']!r})"
     )
 
-    # -- 3. concurrent single-point queries get micro-batched ----------
+    # -- 3. concurrent single-point queries share group commits --------
     # Fresh points (not the just-cached validation set), so the requests
-    # actually coalesce instead of being served from the TTL cache.
+    # actually execute instead of being served from the TTL cache. The
+    # first caller's flush runs alone; whoever arrives while it runs
+    # rides the next one (sizes depend on thread timing).
     val_X = entry.val_X
     fresh = val_X + 1e-3 * (1 + np.arange(len(val_X)))[:, None]
     results: dict[int, dict] = {}

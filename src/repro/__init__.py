@@ -17,7 +17,7 @@ over Incomplete Information: From Certain Answers to Certain Predictions"*
 * :mod:`repro.experiments` — harnesses that regenerate the paper's tables
   and figures;
 * :mod:`repro.service` — the concurrent CP query service (dataset
-  registry with warm prepared state, micro-batching broker with
+  registry with warm prepared state, group-committing broker with
   admission control, stdlib HTTP JSON API + client; ``repro serve``);
 * :mod:`repro.codd` — certain-answer relational semantics (Codd tables)
   bridging the paper's §2 back-story.

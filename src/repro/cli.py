@@ -189,16 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--k", type=int, default=3)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
-        "--window-ms",
-        type=_float_flag("--window-ms", 0.0, inclusive=True),
-        default=10.0,
-        help="micro-batching window for single-point queries (0 disables coalescing)",
-    )
-    serve.add_argument(
         "--max-batch",
         type=_positive_int_flag("--max-batch"),
         default=16,
-        help="flush a pending micro-batch at this many points",
+        help="most single-point queries one group-commit flush serves "
+        "(1 disables coalescing)",
     )
     serve.add_argument(
         "--max-pending",
@@ -208,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--ttl",
-        type=_float_flag("--ttl", 0.0, inclusive=False),
+        type=_positive_float_flag("--ttl"),
         default=30.0,
         help="result-cache time-to-live in seconds",
     )
@@ -230,13 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--executor-timeout",
-        type=_float_flag("--executor-timeout", 0.0, inclusive=False),
+        type=_positive_float_flag("--executor-timeout"),
         default=30.0,
         help="per-executor request timeout in seconds before retry/respawn",
     )
     serve.add_argument(
         "--slow-ms",
-        type=_float_flag("--slow-ms", 0.0, inclusive=False),
+        type=_positive_float_flag("--slow-ms"),
         default=None,
         help=(
             "slow-query log threshold: requests slower than this emit one "
@@ -438,7 +433,7 @@ def _positive_int_flag(flag: str):
     return parse
 
 
-def _float_flag(flag: str, minimum: float, inclusive: bool):
+def _positive_float_flag(flag: str):
     def parse(value: str) -> float:
         try:
             number = float(value)
@@ -448,9 +443,8 @@ def _float_flag(flag: str, minimum: float, inclusive: bool):
             ) from None
         if number != number:  # NaN compares False to every bound below
             raise argparse.ArgumentTypeError(f"{flag} must be a number, got NaN")
-        if number < minimum or (not inclusive and number == minimum):
-            bound = f">= {minimum}" if inclusive else f"> {minimum}"
-            raise argparse.ArgumentTypeError(f"{flag} must be {bound}, got {number}")
+        if number <= 0:
+            raise argparse.ArgumentTypeError(f"{flag} must be > 0, got {number}")
         return number
 
     return parse
@@ -967,7 +961,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         registry,
         host=args.host,
         port=args.port,
-        window_s=args.window_ms / 1000.0,
         max_batch=args.max_batch,
         max_pending=args.max_pending,
         backend=args.backend,

@@ -153,14 +153,17 @@ class IncompleteDataset:
         the hash is computed once and cached — the batch engine uses it to
         key its cross-query result cache
         (:class:`repro.core.batch_engine.QueryResultCache`).
+
+        The rows are views into one contiguous block, so the hash reads the
+        row count, labels, per-row candidate counts and the block in four
+        updates; the counts fix where the block splits into rows.
         """
         if self._fingerprint is None:
             digest = hashlib.sha256()
             digest.update(np.int64(self.n_rows).tobytes())
             digest.update(self._labels.tobytes())
-            for candidates in self._candidate_sets:
-                digest.update(np.int64(candidates.shape[0]).tobytes())
-                digest.update(np.ascontiguousarray(candidates).tobytes())
+            digest.update(self._counts.tobytes())
+            digest.update(self._block.tobytes())
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 

@@ -1210,9 +1210,10 @@ class _FamilyState:
 class IncrementalBackend(Backend):
     """Serves repeated pinned queries from maintained delta state.
 
-    Per query family ``(dataset fingerprint, test matrix, k, kernel)`` the
-    backend keeps one :class:`~repro.core.deltas.DeltaMaintainedState` in
-    a small LRU and applies each new pin as a
+    Per query family ``(dataset fingerprint, test matrix, k, kernel,
+    prune)`` the backend keeps one
+    :class:`~repro.core.deltas.DeltaMaintainedState` in a small LRU and
+    applies each new pin as a
     :class:`~repro.core.deltas.CellRepair` — a pinned row has one
     candidate, so restricting it physically cannot change any tie-break.
     A query whose pins extend the maintained set pays only the delta: the
@@ -1248,6 +1249,13 @@ class IncrementalBackend(Backend):
         return all(pins.get(row) == cand for row, cand in applied.items())
 
     @staticmethod
+    def _state_key(query: CPQuery, options: ExecutionOptions) -> tuple | None:
+        """The family key plus the prune bit the state is built with: a
+        pruning state must never answer a call that asked for no pruning."""
+        key = _family_key(query.dataset, query.test_X, query.k, query.kernel)
+        return None if key is None else (*key, _prune_enabled(query, options))
+
+    @staticmethod
     def _build_state(query: CPQuery, options: ExecutionOptions) -> DeltaMaintainedState:
         """A state for the query's dataset with its current pins already
         restricted in (a cold build counts each point once, no delta work);
@@ -1271,9 +1279,7 @@ class IncrementalBackend(Backend):
         )
 
     def estimate_cost(self, query, options):
-        family = self._states.get(
-            _family_key(query.dataset, query.test_X, query.k, query.kernel)
-        )
+        family = self._states.get(self._state_key(query, options))
         if family is not None and family.state is not None and self._extends(
             query.pins_dict(), family.applied
         ):
@@ -1283,9 +1289,7 @@ class IncrementalBackend(Backend):
     def execute(self, query, options=None):
         options = options or ExecutionOptions()
         pins = query.pins_dict()
-        family = self._states.get_or_build(
-            _family_key(query.dataset, query.test_X, query.k, query.kernel), _FamilyState
-        )
+        family = self._states.get_or_build(self._state_key(query, options), _FamilyState)
         with family.lock:
             if family.state is None or not self._extends(pins, family.applied):
                 # cold, or pins shrank or contradict: rebuild

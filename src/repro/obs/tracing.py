@@ -12,7 +12,7 @@ design constraints, in order:
    nothing else. The ≤5 % overhead budget in ``benchmarks/bench_obs.py``
    leans on this.
 2. **Thread-hopping requests.** The broker coalesces many requests into
-   one batch executed on a timer thread, and the gateway gathers from
+   one batch executed on one caller's thread, and the gateway gathers from
    executor processes on worker threads. Propagation is therefore
    explicit where it must be (``parent=``, ``detached=True``) and
    thread-local (:func:`current_span`) only within one thread.
@@ -22,17 +22,18 @@ design constraints, in order:
    distributed query renders as one coherent tree.
 
 Finished root spans are published to the :class:`Tracer`'s bounded ring
-buffer (served at ``/debug/traces``) and, when they exceed the
-``--slow-ms`` threshold, to the slow-query log as one JSON line.
+buffer (served at ``/debug/traces``, serialized when read) and, when they
+exceed the ``--slow-ms`` threshold, to the slow-query log as one JSON
+line.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import threading
 import time
-import uuid
 from collections import deque
 from contextlib import contextmanager
 
@@ -50,8 +51,9 @@ _local = threading.local()
 
 
 def new_span_id() -> str:
-    """A 16-hex-digit id; uuid4-based so executor processes never collide."""
-    return uuid.uuid4().hex[:16]
+    """A 16-hex-digit id from the OS random source (the bytes ``uuid4`` would
+    draw, without its object), so executor processes never collide."""
+    return os.urandom(8).hex()
 
 
 def current_span():
@@ -136,8 +138,9 @@ class Span:
         return self
 
     def adopt(self, record) -> None:
-        """Graft a serialized span record (from another process) under
-        this span, restamping trace ids so the tree stays consistent."""
+        """Graft a span record (from another process) or a finished
+        detached span under this span, restamping trace ids so the tree
+        stays consistent."""
         if not record:
             return
         with self._lock:
@@ -182,10 +185,11 @@ class Span:
 
 
 class _AdoptedRecord:
-    """A foreign span record re-parented into a live tree.
+    """A foreign span record, or a finished detached span, re-parented
+    into a live tree.
 
-    Holds the original dict and restamps ids lazily at serialization, so
-    adoption itself is O(1) under the parent's child lock.
+    Holds the original and serializes and restamps it lazily, so adoption
+    itself is O(1) under the parent's child lock.
     """
 
     __slots__ = ("trace_id", "parent_id", "_record")
@@ -196,7 +200,7 @@ class _AdoptedRecord:
         self._record = record
 
     def record(self) -> dict:
-        return self._restamp(self._record, self.parent_id)
+        return self._restamp(_as_record(self._record), self.parent_id)
 
     def _restamp(self, record, parent_id) -> dict:
         out = dict(record)
@@ -267,14 +271,24 @@ def trace_span(name, tracer=None, parent=None, detached=False, **attributes):
     return Span(name, tracer=tracer, parent=parent, **attributes)
 
 
+def _as_record(item) -> dict:
+    """A span's record, or ``item`` itself when it is one already."""
+    return item.record() if isinstance(item, Span) else item
+
+
 class TraceBuffer:
-    """Bounded ring of finished root-span records, newest last."""
+    """Bounded ring of finished root spans (or their records), newest last.
+
+    Spans are serialized when read, not when published: a request pays for
+    its trace tree only if someone asks for it.
+    """
 
     def __init__(self, maxlen: int = 256) -> None:
         self._lock = threading.Lock()
         self._records: deque = deque(maxlen=maxlen)
 
-    def add(self, record: dict) -> None:
+    def add(self, record) -> None:
+        """Append a finished root :class:`Span` or a record dict."""
         with self._lock:
             self._records.append(record)
 
@@ -283,13 +297,17 @@ class TraceBuffer:
             records = list(self._records)
         if limit is not None and limit >= 0:
             records = records[-limit:]
-        return records
+        return [_as_record(record) for record in records]
 
     def get(self, trace_id: str) -> dict | None:
         with self._lock:
             for record in reversed(self._records):
-                if record.get("trace_id") == trace_id:
-                    return record
+                found = (
+                    record.trace_id if isinstance(record, Span)
+                    else record.get("trace_id")
+                )
+                if found == trace_id:
+                    return _as_record(record)
         return None
 
     def __len__(self) -> int:
@@ -327,8 +345,7 @@ class Tracer:
     def publish(self, span: Span) -> None:
         if not self.enabled:
             return
-        record = span.record()
-        self.buffer.add(record)
+        self.buffer.add(span)
         duration_s = (span.duration_s or 0.0)
         slow = self.slow_s is not None and duration_s >= self.slow_s
         with self._lock:
@@ -336,7 +353,7 @@ class Tracer:
             if slow:
                 self._n_slow += 1
         if slow:
-            self._emit_slow(record)
+            self._emit_slow(span.record())
 
     def _emit_slow(self, record: dict) -> None:
         sink = self.slow_sink if self.slow_sink is not None else sys.stderr

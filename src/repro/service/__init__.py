@@ -9,7 +9,7 @@ keeps it pinned across requests and callers:
   ``PreparedBatch`` / cleaning-session state
   (:class:`DatasetRegistry`, :class:`DatasetEntry`);
 * :mod:`repro.service.broker` — :class:`QueryBroker`: admission
-  control, micro-batching of concurrent single-point queries into
+  control, group commit of concurrent single-point queries into
   planner batch calls, and a TTL'd fingerprint-keyed result cache
   (:class:`TTLResultCache`);
 * :mod:`repro.service.http` — the threaded stdlib JSON API

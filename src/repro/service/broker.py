@@ -1,17 +1,26 @@
-"""The query broker: admission control, micro-batching, TTL'd results.
+"""The query broker: admission control, group-commit batching, TTL'd results.
 
 The planner (:mod:`repro.core.planner`) is fastest when handed a whole
 test matrix at once — one vectorised preparation amortised over many
 points — but interactive callers ask one point at a time. The broker
-closes that gap the way high-throughput serving systems do, with
-**micro-batching**: a single-point query does not execute immediately;
-it joins the pending batch of its *query family* (same dataset, kind,
-flavor, ``k``, kernel, pins, label, weights, backend — everything except
-the test point), and the batch is flushed as one planner call when it
-reaches ``max_batch`` points or when the oldest request has waited
-``window_s`` seconds. Under concurrent load the window fills and every
-flush serves many callers for roughly the price of one; an idle service
-degrades to per-request latency plus at most one window.
+closes that gap with **group commit**, the log manager's technique for
+batching without a timer (Gray & Reuter, *Transaction Processing*):
+
+* a single-point query whose *query family* (same dataset, kind, flavor,
+  ``k``, kernel, pins, label, weights, backend, prune mode — everything
+  except the test point) has no flush running executes at once, on its
+  own thread, as a batch of one;
+* queries that arrive while that flush runs queue behind it; when it
+  ends, up to ``max_batch`` of them run as the next flush, one planner
+  call, and the rest stay queued for the one after;
+* the thread that ends a flush hands the next batch to one of that
+  batch's own callers, so no thread ever runs a flush that does not hold
+  its own request, and none loops serving other callers.
+
+An idle service therefore pays per-request latency and nothing more;
+under concurrent load each flush serves every request that queued during
+the one before, for roughly the price of one. ``max_batch=1`` turns
+coalescing off (the per-request mode).
 
 Correctness is free: every backend computes per-point values
 independently, so a batched execution is bit-identical to the
@@ -78,6 +87,9 @@ __all__ = [
 
 _MISS = object()
 
+#: The ``Retry-After`` hint of an admission rejection, in seconds.
+_RETRY_AFTER_S = 0.02
+
 #: The broker's result cache: the one :class:`~repro.utils.lru.LRU`, under
 #: the name it has always been exported as (the broker builds it with a TTL).
 TTLResultCache = LRU
@@ -138,18 +150,33 @@ def _weights_digest(weights: list[list[Fraction]] | None) -> str:
     return digest.hexdigest()
 
 
-class _PendingBatch:
-    """One micro-batch being assembled for a query family.
+class _Request:
+    """One single-point read in a group commit.
 
-    Carries the :class:`~repro.service.registry.DatasetSnapshot` of the
-    request that opened the batch; the family key embeds the snapshot's
-    fingerprint, so every coalesced request sees the same dataset version
-    and the flush executes against exactly that version. Each item also
-    remembers the waiting request's span id, so the batch's (detached)
-    trace can name every request it served.
+    A request that queues behind a running flush gets a future, which
+    resolves to its answer or to the batch (this request first) whose
+    flush its caller must run itself. The span id lets the batch's
+    detached trace name every request it served.
     """
 
-    __slots__ = ("entry", "snap", "params", "items", "timer")
+    __slots__ = ("point", "span_id", "future")
+
+    def __init__(self, point: np.ndarray, span_id: str | None) -> None:
+        self.point = point
+        self.span_id = span_id
+        self.future: Future | None = None
+
+
+class _Family:
+    """A query family with a flush running, and the requests queued behind it.
+
+    Carries the :class:`~repro.service.registry.DatasetSnapshot` of the
+    request that started the family's first flush; the family key embeds
+    the snapshot's fingerprint, so every coalesced request sees the same
+    dataset version and each flush executes against exactly that version.
+    """
+
+    __slots__ = ("entry", "snap", "params", "queued")
 
     def __init__(
         self, entry: DatasetEntry, snap: DatasetSnapshot, params: dict
@@ -157,29 +184,24 @@ class _PendingBatch:
         self.entry = entry
         self.snap = snap
         self.params = params
-        self.items: list[tuple[np.ndarray, Future, str | None]] = []
-        self.timer: threading.Timer | None = None
+        self.queued: list[_Request] = []
 
 
 class QueryBroker:
-    """Admission-controlled, micro-batching front door to the planner.
+    """Admission-controlled, group-committing front door to the planner.
 
     Parameters
     ----------
     registry:
         The :class:`~repro.service.registry.DatasetRegistry` whose
         entries (and pinned prepared state) queries run against.
-    window_s:
-        Micro-batching window: how long the first request of a family
-        waits for company before its batch is flushed. ``0`` disables
-        coalescing (the per-request baseline ``bench_service.py``
-        measures against).
     max_batch:
-        Flush a pending batch as soon as it holds this many points.
-        ``1`` also disables coalescing.
+        The most queued requests one flush serves. ``1`` disables
+        coalescing: every single-point read executes on its own (the
+        per-request baseline ``bench_service.py`` measures against).
     max_pending:
         Admission-control bound on concurrently in-flight requests
-        (micro-batched, per-request and matrix dispatch alike); beyond
+        (group-committed, per-request and matrix dispatch alike); beyond
         it :class:`AdmissionError` is raised.
     backend, n_jobs:
         Defaults handed to the planner (a request may override the
@@ -197,8 +219,8 @@ class QueryBroker:
         broker transparently falls back to local execution — the values
         are bit-identical either way, so the fallback is invisible except
         in ``/metrics``. The broker owns the gateway's lifecycle:
-        :meth:`close` drains pending batches, then shuts the executors
-        down.
+        :meth:`close` drains running and queued flushes, then shuts the
+        executors down.
     obs:
         The :class:`~repro.obs.Observability` bundle (metrics registry +
         tracer) this broker reports into. ``make_service`` shares one
@@ -208,7 +230,6 @@ class QueryBroker:
     def __init__(
         self,
         registry: DatasetRegistry,
-        window_s: float = 0.01,
         max_batch: int = 16,
         max_pending: int = 256,
         backend: str = "auto",
@@ -219,10 +240,7 @@ class QueryBroker:
         gateway=None,
         obs: Observability | None = None,
     ) -> None:
-        if window_s < 0:
-            raise ValueError(f"window_s must be >= 0, got {window_s}")
         self.registry = registry
-        self.window_s = float(window_s)
         self.max_batch = check_positive_int(max_batch, "max_batch")
         self.max_pending = check_positive_int(max_pending, "max_pending")
         self.backend = backend
@@ -232,7 +250,10 @@ class QueryBroker:
             cache = TTLResultCache(maxsize=cache_size, ttl_s=ttl_s)
         self.cache = cache if isinstance(cache, TTLResultCache) else None
         self._lock = threading.Lock()
-        self._pending: dict[tuple, _PendingBatch] = {}
+        #: Families with a flush running; ``close`` waits on ``_idle`` for
+        #: this to empty.
+        self._pending: dict[tuple, _Family] = {}
+        self._idle = threading.Condition(self._lock)
         self._inflight = 0
         self._closed = False
         # Typed instruments on the shared MetricsRegistry replace the old
@@ -311,7 +332,7 @@ class QueryBroker:
         """Answer a CP query against a registered dataset.
 
         ``points`` is one test point (1-D) or a matrix of them; a single
-        point rides the micro-batching path, a matrix executes as one
+        point rides the group-commit path, a matrix executes as one
         planner batch directly. Returns a dict with the resolved
         ``flavor``, per-point ``values``, the executing ``backend``, the
         size of the batch each point was served in, and cache/coalescing
@@ -324,7 +345,7 @@ class QueryBroker:
         (:class:`~repro.core.planner.ExecutionOptions`'s knob verbatim:
         ``auto`` / ``on`` / ``off``); answers are bit-identical either
         way, so prune modes share nothing but wall-clock. With
-        ``explain=True`` the request bypasses micro-batching and the
+        ``explain=True`` the request bypasses group commit and the
         result cache read (the explain block needs this execution's
         telemetry, not a cached value's) and the response carries an
         ``explain`` dict: chosen backend, plan reason, and the backend's
@@ -372,7 +393,7 @@ class QueryBroker:
             "backend": backend or self.backend,
             "prune": prune,
         }
-        # Admission control covers every dispatch path — micro-batched
+        # Admission control covers every dispatch path — group-committed
         # singles, per-request singles, and matrix queries alike: one
         # admitted request = one in-flight slot until its response exists.
         with self._lock:
@@ -393,7 +414,7 @@ class QueryBroker:
                 response = self._execute_direct(
                     entry, snap, matrix, params, explain=True
                 )
-            elif single and self.window_s > 0 and self.max_batch > 1:
+            elif single and self.max_batch > 1:
                 response = dict(
                     self._submit_single(entry, snap, matrix[0], params, timeout)
                 )
@@ -617,7 +638,7 @@ class QueryBroker:
             raise AdmissionError(
                 f"{self._inflight} requests in flight (max_pending="
                 f"{self.max_pending}); shedding load",
-                retry_after=max(self.window_s * 2, 0.01),
+                retry_after=_RETRY_AFTER_S,
             )
         self._inflight += 1
 
@@ -677,7 +698,6 @@ class QueryBroker:
                 for key, counter in self._prune_counters.items()
             },
             "inflight": inflight,
-            "window_s": self.window_s,
             "max_batch": self.max_batch,
             "max_pending": self.max_pending,
             "gateway_served": self._c_gateway_served.value,
@@ -697,16 +717,12 @@ class QueryBroker:
             self.gateway.drop(name)
 
     def close(self) -> None:
-        """Flush every pending micro-batch, stop accepting new work, and
-        shut down the gateway's executors (if one is attached)."""
+        """Stop accepting new work, wait until every running flush and the
+        requests queued behind it have been served, then shut down the
+        gateway's executors (if one is attached)."""
         with self._lock:
             self._closed = True
-            pending = list(self._pending.items())
-            self._pending.clear()
-        for _, batch in pending:
-            if batch.timer is not None:
-                batch.timer.cancel()
-            self._run_batch(batch)
+            self._idle.wait_for(lambda: not self._pending)
         if self.gateway is not None:
             self.gateway.close()
 
@@ -744,7 +760,7 @@ class QueryBroker:
             _weights_digest(params["weights"]),
             params["algorithm"],
             params["backend"],
-            # Pruning never changes values, but a micro-batch flushes with
+            # Pruning never changes values, but a flush runs with
             # one ExecutionOptions — requests asking for different prune
             # modes must not coalesce into the same planner call.
             params["prune"],
@@ -899,102 +915,134 @@ class QueryBroker:
                 self._c_cache_served.inc()
                 return {"values": [hit[0]], "backend": hit[1], "batch_size": 1, "cached": True}
 
-        future: Future = Future()
-        flush_now: _PendingBatch | None = None
+        caller = current_span()
+        request = _Request(point, caller.span_id)
         with self._lock:
             # Re-check under the lock: a request that passed the admission
-            # check can reach this insertion after close() drained
-            # self._pending — inserting here would leave a fresh batch (and
-            # its daemon timer) firing into a closed broker, and the
-            # request's future would never resolve. Fail it instead.
+            # check can reach this point after close() saw every family
+            # drain; starting or joining a flush now would outlive the
+            # broker. Fail it instead.
             if self._closed:
-                future.set_exception(
-                    AdmissionError(
-                        "broker closed while the request was being enqueued",
-                        retry_after=1.0,
-                    )
+                raise AdmissionError(
+                    "broker closed while the request was being enqueued",
+                    retry_after=1.0,
                 )
+            queue = self._pending.get(family)
+            leads = queue is None
+            if leads:
+                # No flush running for the family: dispatch at once.
+                queue = self._pending[family] = _Family(entry, snap, params)
             else:
-                batch = self._pending.get(family)
-                if batch is None:
-                    batch = _PendingBatch(entry, snap, params)
-                    self._pending[family] = batch
-                    batch.timer = threading.Timer(
-                        self.window_s, self._flush_family, (family, batch)
-                    )
-                    batch.timer.daemon = True
-                    batch.timer.start()
-                batch.items.append((point, future, current_span().span_id))
-                if len(batch.items) >= self.max_batch:
-                    self._pending.pop(family, None)
-                    flush_now = batch
-        if flush_now is not None:
-            if flush_now.timer is not None:
-                flush_now.timer.cancel()
-            self._run_batch(flush_now)
-        value, backend_name, batch_size, batch_record = future.result(
-            timeout=timeout
-        )
-        # The flush ran detached (it served many requests, possibly on a
-        # timer thread); grafting its span record here renders this
-        # request's share of the batch inside this request's trace.
-        current_span().adopt(batch_record)
+                request.future = Future()
+                queue.queued.append(request)
+        if leads:
+            outcome = self._flush(family, queue, [request])
+        else:
+            outcome = self._await(family, queue, request, timeout)
+        value, backend_name, batch_size, batch_span = outcome
+        # The flush ran detached (it served every request in it, possibly
+        # on another caller's thread); grafting its span here renders this
+        # request's share of the batch inside its own trace.
+        caller.adopt(batch_span)
         return {"values": [value], "backend": backend_name, "batch_size": batch_size, "cached": False}
 
-    def _flush_family(self, family: tuple, batch: _PendingBatch) -> None:
-        """Timer callback: flush ``batch`` unless someone else already did."""
-        with self._lock:
-            if self._pending.get(family) is not batch:
-                return  # flushed by max_batch (or close) already
-            self._pending.pop(family, None)
-        self._run_batch(batch)
+    def _await(
+        self,
+        family: tuple,
+        queue: _Family,
+        request: _Request,
+        timeout: float | None,
+    ) -> tuple:
+        """Wait for queued ``request``'s answer, running its flush if
+        handed one.
 
-    def _run_batch(self, batch: _PendingBatch) -> None:
-        if not batch.items:
-            return
-        points = [point for point, _, _ in batch.items]
-        futures = [future for _, future, _ in batch.items]
-        waiters = [span_id for _, _, span_id in batch.items if span_id]
-        n = len(futures)
+        A caller that times out while still queued withdraws its request.
+        One already taken into a batch cannot: if that batch was handed to
+        it, it still runs the flush, or the requests behind it would hang.
+        """
+        future = request.future
         try:
-            # Detached: the flush may run on a timer thread, and even on a
-            # caller's thread the batch serves *every* coalesced request —
-            # nesting it under one request's span would mis-attribute it.
-            # Waiters adopt the record from their future results instead.
+            outcome = future.result(timeout=timeout)
+        except TimeoutError:
+            with self._lock:
+                if request in queue.queued:
+                    queue.queued.remove(request)
+                    raise
+            if not future.done():
+                raise  # in a flush another caller is running
+            outcome = future.result()
+        if isinstance(outcome, list):
+            return self._flush(family, queue, outcome)
+        return outcome
+
+    def _flush(self, family: tuple, queue: _Family, requests: list[_Request]) -> tuple:
+        """Run ``requests`` as one planner call on the thread of the caller
+        whose request is ``requests[0]``, return that request's outcome,
+        and pass the family on.
+
+        The next ``max_batch`` queued requests are handed, as one batch, to
+        the first of them, whose caller runs that flush on its own thread.
+        With nothing queued the family goes idle and the next request
+        dispatches at once.
+        """
+        try:
+            return self._run_batch(family, queue, requests)
+        finally:
+            with self._lock:
+                batch = queue.queued[: self.max_batch]
+                del queue.queued[: self.max_batch]
+                if batch:
+                    batch[0].future.set_result(batch)
+                else:
+                    del self._pending[family]
+                    self._idle.notify_all()
+
+    def _run_batch(
+        self, family: tuple, queue: _Family, requests: list[_Request]
+    ) -> tuple:
+        """Execute one flush: resolve the futures of the requests queued in
+        it and return the running caller's own ``requests[0]`` outcome, each
+        a ``(value, backend, batch size, batch span)``."""
+        n = len(requests)
+        try:
+            # Detached: the batch serves *every* request in it — nesting
+            # it under the running caller's span would mis-attribute it.
+            # Waiters adopt the finished span from their futures instead.
             with trace_span(
                 "broker.batch", tracer=self.obs.tracer, detached=True
             ) as bspan:
                 bspan.set(
-                    dataset=batch.entry.name,
+                    dataset=queue.entry.name,
                     n_points=n,
                     coalesced=n > 1,
-                    request_span_ids=waiters,
+                    request_span_ids=[r.span_id for r in requests if r.span_id],
                 )
-                test_X = np.vstack([point.reshape(1, -1) for point in points])
+                test_X = np.array([r.point for r in requests])
                 result = self._execute(
-                    batch.entry, batch.snap, test_X, batch.params
+                    queue.entry, queue.snap, test_X, queue.params
                 )
                 bspan.set(backend=result.plan.backend)
-            batch_record = bspan.record()
             self._record_stats(result.stats)
-            family = self._family_key(batch.entry, batch.snap, batch.params)
             self._c_batches.inc()
             self._c_batched_points.inc(n)
             self._g_max_batch.set_max(n)
             self._h_batch_size.observe(n)
             if n > 1:
                 self._c_coalesced.inc()
-            for index, future in enumerate(futures):
-                value = result.values[index]
-                if self.cache is not None:
+            outcomes = [
+                (value, result.plan.backend, n, bspan) for value in result.values
+            ]
+            if self.cache is not None:
+                for request, value in zip(requests, result.values):
                     self.cache.put(
-                        self._point_cache_key(family, points[index]),
+                        self._point_cache_key(family, request.point),
                         (value, result.plan.backend),
                     )
-                future.set_result(
-                    (value, result.plan.backend, n, batch_record)
-                )
-        except BaseException as exc:  # noqa: BLE001 — futures carry it to callers
-            for future in futures:
-                if not future.done():
-                    future.set_exception(exc)
+            for request, outcome in zip(requests[1:], outcomes[1:]):
+                request.future.set_result(outcome)
+        except BaseException as exc:  # noqa: BLE001 — futures carry it to the queued callers
+            for request in requests[1:]:
+                if not request.future.done():
+                    request.future.set_exception(exc)
+            raise
+        return outcomes[0]

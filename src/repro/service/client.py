@@ -221,7 +221,7 @@ class ServiceClient:
     ) -> dict:
         """Run a CP query; the response's ``values`` are exact local types.
 
-        Give ``point`` (one test point — rides the server's micro-batch)
+        Give ``point`` (one test point — rides the server's group commit)
         or ``points`` (a matrix, or the string ``"validation"`` for the
         dataset's registered validation set). ``weights`` may hold
         Fractions; they are shipped exactly. ``prune`` selects

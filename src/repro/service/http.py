@@ -11,7 +11,7 @@ path                        method  what it does
                                     per-executor liveness in gateway mode — 503
                                     with ``status: "degraded"`` while any
                                     executor is down awaiting respawn
-``/metrics``                GET     registry counters + broker/micro-batching/
+``/metrics``                GET     registry counters + broker/group-commit/
                                     cache stats + the typed ``obs`` snapshot;
                                     ``?format=prometheus`` renders the text
                                     exposition instead
@@ -27,7 +27,7 @@ path                        method  what it does
                                     or single-cell fixes on a Codd table
                                     (``fixes``); bumps the entry version,
                                     maintained in O(Δ)
-``/query``                  POST    a CP query — single point (micro-batched) or
+``/query``                  POST    a CP query — single point (group-committed) or
                                     matrix; ``prune`` selects certificate
                                     pruning, ``explain`` adds plan + pruning
                                     telemetry, ``explain="trace"`` embeds the
@@ -98,7 +98,7 @@ class ServiceServer(ThreadingHTTPServer):
 
     daemon_threads = True  # connection threads must not block shutdown
     # socketserver's default listen backlog is 5; a burst of concurrent
-    # clients (the whole point of micro-batching) would see kernel-level
+    # clients (the whole point of group commit) would see kernel-level
     # connection resets before admission control ever got a say. Admission
     # decisions belong to the broker (429 + Retry-After), not the backlog.
     request_queue_size = 128
@@ -127,7 +127,7 @@ class ServiceServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def close(self) -> None:
-        """Stop serving, flush pending micro-batches, release the socket.
+        """Stop serving, drain running and queued flushes, release the socket.
 
         Safe whether or not the accept loop ever ran: ``shutdown()`` waits
         on an event only ``serve_forever()`` sets, so it is skipped when
@@ -160,8 +160,11 @@ def make_service(
     With ``start=True`` (default) the accept loop runs in a daemon
     thread and the call returns immediately — the pattern the tests, the
     examples and the CI smoke job share. ``broker_kwargs`` go to
-    :class:`~repro.service.broker.QueryBroker` (``window_s``,
-    ``max_batch``, ``max_pending``, ``backend``, ``n_jobs``, ``ttl_s``...).
+    :class:`~repro.service.broker.QueryBroker` (``max_batch``,
+    ``max_pending``, ``backend``, ``n_jobs``, ``ttl_s``...). The broker
+    batches single-point reads by group commit: a read whose query family
+    is idle executes at once; reads that arrive while a family's flush
+    runs are served together, up to ``max_batch`` per flush, when it ends.
 
     ``executors > 0`` selects the partitioned multi-process topology: a
     :class:`~repro.service.gateway.Gateway` with that many executor worker
@@ -231,8 +234,8 @@ def serve(
 
     SIGINT *and* SIGTERM drain before exiting: both are routed into the
     ``KeyboardInterrupt`` path, whose ``finally`` runs
-    :meth:`ServiceServer.close` — flushing every pending micro-batch (each
-    in-flight future resolves or fails cleanly, no connection resets) and
+    :meth:`ServiceServer.close` — draining every running and queued flush
+    (each in-flight request resolves or fails cleanly, no connection resets) and
     shutting down gateway executors, in single- and multi-process modes
     alike. The handlers raise instead of calling ``shutdown()`` directly
     because ``shutdown()`` deadlocks when invoked from the thread running

@@ -122,3 +122,31 @@ class TestDerivation:
         ds = simple_dataset()
         with pytest.raises(IndexError):
             ds.world([0, 7])
+
+
+class TestFingerprint:
+    def test_equal_content_equal_fingerprint_however_built(self):
+        ds = simple_dataset()
+        direct = IncompleteDataset(
+            [np.array([[0.0, 0.0]]), np.array([[2.0, 2.0]])], labels=[0, 1]
+        )
+        assert ds.restrict_row(1, 1).fingerprint() == direct.fingerprint()
+        assert ds.with_row_fixed(1, [2.0, 2.0]).fingerprint() == direct.fingerprint()
+        assert ds.fingerprint() == simple_dataset().fingerprint()
+        assert ds.fingerprint() != direct.fingerprint()
+
+    def test_same_block_split_differently_differs(self):
+        block = np.arange(8, dtype=np.float64).reshape(4, 2)
+        one_three = IncompleteDataset([block[:1], block[1:]], labels=[0, 1])
+        three_one = IncompleteDataset([block[:3], block[3:]], labels=[0, 1])
+        assert one_three.stacked_candidates()[0].tobytes() == (
+            three_one.stacked_candidates()[0].tobytes()
+        )
+        assert one_three.fingerprint() != three_one.fingerprint()
+
+    def test_changed_label_differs(self):
+        sets = [np.array([[0.0, 0.0]]), np.array([[1.0, 1.0], [2.0, 2.0]])]
+        assert (
+            IncompleteDataset(sets, labels=[0, 1]).fingerprint()
+            != IncompleteDataset(sets, labels=[1, 1]).fingerprint()
+        )

@@ -186,6 +186,20 @@ class TestPlanning:
         assert warm < cold
         assert "delta" in reason
 
+    def test_warm_pruned_state_never_answers_prune_off(self):
+        """A family warmed with pruning must not serve a ``prune="off"`` call
+        that ``auto`` planning routes to the incremental backend."""
+        dataset = random_dataset(7, n_rows=8)
+        query = make_query(dataset, np.random.default_rng(7).normal(size=(4, 2)), k=2)
+        warm = execute_query(
+            query, backend="incremental", options=ExecutionOptions(cache=False)
+        )
+        assert warm.stats["prune"] is True
+        off = ExecutionOptions(cache=False, prune="off")
+        result = execute_query(query, backend="auto", options=off)
+        assert result.stats["prune"] is False
+        assert result.values == execute_query(query, backend="batch", options=off).values
+
     def test_explicit_incapable_backend_raises(self):
         dataset = random_dataset(4)
         query = make_query(dataset, np.zeros((2, 2)), k=1, flavor="weighted")

@@ -257,3 +257,24 @@ def test_observability_disabled_keeps_metrics_on():
     snap = obs.snapshot()
     assert snap["counters"]["still_counts_total"] == 1
     assert snap["tracing"]["published"] == 0
+
+
+def test_adopting_a_finished_detached_span_renders_it_under_each_adopter():
+    tracer = Tracer()
+    with trace_span("batch", tracer=tracer, detached=True) as batch:
+        with trace_span("work"):
+            pass
+    adopters = []
+    for _ in range(2):
+        with trace_span("request", tracer=tracer) as request:
+            request.adopt(batch)
+        adopters.append(request)
+    for request in adopters:
+        record = tracer.buffer.get(request.trace_id)
+        (child,) = record["children"]
+        assert child["name"] == "batch"
+        assert child["trace_id"] == request.trace_id
+        assert child["parent_id"] == request.span_id
+        (leaf,) = child["children"]
+        assert leaf["name"] == "work" and leaf["trace_id"] == request.trace_id
+    assert [r["name"] for r in tracer.buffer.list()] == ["batch", "request", "request"]

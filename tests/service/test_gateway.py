@@ -181,7 +181,7 @@ class TestBrokerIntegration:
         registry = DatasetRegistry()
         registry.register("d", small_dataset(), k=2)
         broker = QueryBroker(
-            registry, window_s=0.005, cache=False, gateway=Gateway(2)
+            registry, cache=False, gateway=Gateway(2)
         )
         try:
             response = broker.query("d", np.zeros((2, 2)), kind="counts")
@@ -199,7 +199,7 @@ class TestBrokerIntegration:
         registry = DatasetRegistry()
         registry.register("d", small_dataset(), k=2)
         broker = QueryBroker(
-            registry, window_s=0.005, cache=False, gateway=Gateway(2)
+            registry, cache=False, gateway=Gateway(2)
         )
         try:
             response = broker.query(
@@ -220,7 +220,7 @@ class TestBrokerIntegration:
         registry = DatasetRegistry()
         registry.register("d", small_dataset(), k=2)
         gateway = Gateway(2)
-        broker = QueryBroker(registry, window_s=0.005, cache=False, gateway=gateway)
+        broker = QueryBroker(registry, cache=False, gateway=gateway)
         try:
             gateway.close()  # every scatter now raises GatewayUnavailable
             response = broker.query("d", np.zeros((2, 2)), kind="counts")
@@ -234,7 +234,7 @@ class TestBrokerIntegration:
     def test_gateway_backend_without_gateway_degrades_to_auto(self):
         registry = DatasetRegistry()
         registry.register("d", small_dataset(), k=2)
-        broker = QueryBroker(registry, window_s=0.005, cache=False)
+        broker = QueryBroker(registry, cache=False)
         try:
             response = broker.query("d", np.zeros((2, 2)), kind="counts", backend="gateway")
             assert response["values"]

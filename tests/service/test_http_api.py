@@ -24,7 +24,7 @@ def service():
     registry = DatasetRegistry()
     registry.register("d", small_dataset(), k=2)
     registry.register_recipe("recipe", n_train=40, n_val=4, seed=0)
-    server = make_service(registry, window_s=0.005, max_batch=8)
+    server = make_service(registry, max_batch=8)
     client = ServiceClient(server.url)
     client.wait_until_ready()
     yield server, client
@@ -33,14 +33,14 @@ def service():
 
 def test_make_service_failure_does_not_leak_executor_processes():
     """A broker-constructor failure after the gateway spawned must shut the
-    executor processes down, not orphan them (window_s=-1 is rejected by
+    executor processes down, not orphan them (max_batch=0 is rejected by
     QueryBroker *after* make_service built the Gateway)."""
     import multiprocessing
     import time
 
     before = {p.pid for p in multiprocessing.active_children()}
     with pytest.raises(ValueError):
-        make_service(executors=2, window_s=-1.0, start=False)
+        make_service(executors=2, max_batch=0, start=False)
     deadline = time.monotonic() + 10.0
     while time.monotonic() < deadline:
         leaked = [
@@ -341,34 +341,43 @@ class TestErrorPaths:
             request.urlopen(server.url + "/nope", timeout=10)
         assert excinfo.value.code == 404
 
-    def test_overload_is_429_with_retry_after(self, service):
+    def test_overload_is_429_with_retry_after(self, service, monkeypatch):
         """Admission rejection must surface as 429 + Retry-After over HTTP."""
         import threading
 
         server, client = service
         broker = server.broker
-        # Temporarily throttle the running broker: one in-flight request
-        # inside a long window, then the next one must be shed.
-        old = broker.max_pending, broker.window_s
-        broker.max_pending, broker.window_s = 1, 0.5
+        # Throttle the running broker to one in-flight request and hold that
+        # request's flush open; the next request must be shed.
+        monkeypatch.setattr(broker, "max_pending", 1)
+        entered, release = threading.Event(), threading.Event()
+        execute = broker._execute
+
+        def held(*args):
+            entered.set()
+            assert release.wait(timeout=10.0)
+            return execute(*args)
+
+        monkeypatch.setattr(broker, "_execute", held)
+        background: dict[str, object] = {}
+
+        def slow() -> None:
+            background["response"] = client.query("d", point=[9.0, 9.0], kind="counts")
+
+        thread = threading.Thread(target=slow)
+        thread.start()
         try:
-            background: dict[str, object] = {}
-
-            def slow() -> None:
-                background["response"] = client.query(
-                    "d", point=[9.0, 9.0], kind="counts"
+            assert entered.wait(timeout=10.0)
+            body = json.dumps({"dataset": "d", "point": [8.0, 8.0]}).encode()
+            with pytest.raises(error.HTTPError) as excinfo:
+                request.urlopen(
+                    request.Request(server.url + "/query", data=body, method="POST"),
+                    timeout=10,
                 )
-
-            thread = threading.Thread(target=slow)
-            thread.start()
-            import time as _time
-
-            _time.sleep(0.1)
-            with pytest.raises(ServiceError) as excinfo:
-                client.query("d", point=[8.0, 8.0], kind="counts")
-            assert excinfo.value.status == 429
-            assert excinfo.value.code == "overloaded"
-            thread.join()
-            assert background["response"]["values"]
+            assert excinfo.value.code == 429
+            assert float(excinfo.value.headers["Retry-After"]) > 0
+            assert json.loads(excinfo.value.read())["error"]["code"] == "overloaded"
         finally:
-            broker.max_pending, broker.window_s = old
+            release.set()
+            thread.join(timeout=10.0)
+        assert background["response"]["values"]

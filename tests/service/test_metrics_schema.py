@@ -32,7 +32,6 @@ BROKER_KEYS = {
     "explain_requests",
     "prune",
     "inflight",
-    "window_s",
     "max_batch",
     "max_pending",
     "gateway_served",
@@ -103,7 +102,7 @@ def _dataset():
 def served_metrics():
     registry = DatasetRegistry()
     registry.register("d", _dataset(), k=1)
-    server = make_service(registry, window_s=0.0)
+    server = make_service(registry)
     try:
         client = ServiceClient(server.url)
         client.query("d", point=[0.0])
@@ -154,7 +153,7 @@ def test_obs_section_schema(served_metrics):
 def test_gateway_golden_keys():
     registry = DatasetRegistry()
     registry.register("d", _dataset(), k=1)
-    server = make_service(registry, window_s=0.0, executors=2)
+    server = make_service(registry, executors=2)
     try:
         client = ServiceClient(server.url)
         client.query("d", point=[0.0])

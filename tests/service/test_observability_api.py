@@ -66,7 +66,7 @@ def assert_tree_consistent(record: dict) -> None:
 def service():
     registry = DatasetRegistry()
     registry.register("d", small_dataset(), k=2)
-    server = make_service(registry, window_s=0.005, max_batch=8)
+    server = make_service(registry, max_batch=8)
     client = ServiceClient(server.url)
     client.wait_until_ready()
     yield server, client
@@ -148,7 +148,7 @@ class TestDebugTraces:
     def test_disabled_tracing_serves_empty_buffer(self):
         registry = DatasetRegistry()
         registry.register("d", small_dataset(), k=2)
-        server = make_service(registry, window_s=0.0, trace=False)
+        server = make_service(registry, trace=False)
         try:
             client = ServiceClient(server.url)
             client.query("d", point=[0.0, 0.0])
@@ -192,7 +192,7 @@ class TestLogs:
     def test_access_log_emits_one_line_per_request(self):
         registry = DatasetRegistry()
         registry.register("d", small_dataset(), k=2)
-        server = make_service(registry, window_s=0.0, access_log=True)
+        server = make_service(registry, access_log=True)
         sink = io.StringIO()
         server.access_sink = sink
         try:
@@ -215,7 +215,7 @@ class TestLogs:
         registry = DatasetRegistry()
         registry.register("d", small_dataset(), k=2)
         # slow_ms=0.000001 → everything is slow; every request logs a line
-        server = make_service(registry, window_s=0.0, slow_ms=0.000001)
+        server = make_service(registry, slow_ms=0.000001)
         sink = io.StringIO()
         server.obs.tracer.slow_sink = sink
         try:
@@ -247,7 +247,7 @@ class TestHealthz:
 def gateway_service():
     registry = DatasetRegistry()
     registry.register("gd", small_dataset(), k=2)
-    server = make_service(registry, window_s=0.0, executors=2)
+    server = make_service(registry, executors=2)
     client = ServiceClient(server.url)
     client.wait_until_ready()
     yield server, client
@@ -297,7 +297,7 @@ class TestGatewayTraces:
     def test_dead_executor_degrades_healthz_to_503(self):
         registry = DatasetRegistry()
         registry.register("gd", small_dataset(), k=2)
-        server = make_service(registry, window_s=0.0, executors=2)
+        server = make_service(registry, executors=2)
         try:
             client = ServiceClient(server.url)
             client.wait_until_ready()

@@ -51,7 +51,7 @@ def service():
     registry = DatasetRegistry()
     registry.register("d", small_dataset(), k=2)
     registry.register_codd_table("t", small_codd_table())
-    server = make_service(registry, window_s=0.0, max_batch=8)
+    server = make_service(registry, max_batch=8)
     client = ServiceClient(server.url)
     client.wait_until_ready()
     yield server, client
@@ -175,7 +175,7 @@ class TestCacheHygiene:
         registry = DatasetRegistry()
         registry.register("d", small_dataset(), k=2)
         registry.register("other", small_dataset(), k=2)
-        broker = QueryBroker(registry, window_s=0.0, max_batch=1, cache=True, ttl_s=60.0)
+        broker = QueryBroker(registry, max_batch=1, cache=True, ttl_s=60.0)
         point = np.zeros(2)
         broker.query("d", point, kind="counts")
         broker.query("other", point, kind="counts")
@@ -197,7 +197,7 @@ class TestCacheHygiene:
         fingerprint-keyed entries were unreachable but kept alive)."""
         registry = DatasetRegistry()
         registry.register("d", small_dataset(), k=2)
-        broker = QueryBroker(registry, window_s=0.0, max_batch=1, cache=True, ttl_s=600.0)
+        broker = QueryBroker(registry, max_batch=1, cache=True, ttl_s=600.0)
         points = np.random.default_rng(7).normal(size=(4, 2))
         for point in points:
             broker.query("d", point, kind="counts")
@@ -214,7 +214,7 @@ class TestCacheHygiene:
     def test_remove_purges_cache_too(self):
         registry = DatasetRegistry()
         registry.register("d", small_dataset(), k=2)
-        broker = QueryBroker(registry, window_s=0.0, max_batch=1, cache=True, ttl_s=600.0)
+        broker = QueryBroker(registry, max_batch=1, cache=True, ttl_s=600.0)
         broker.query("d", np.zeros(2), kind="counts")
         assert len(broker.cache) > 0
         registry.remove("d")
@@ -230,7 +230,7 @@ class TestPatchReadHammer:
         dataset = small_dataset()
         registry = DatasetRegistry()
         registry.register("d", dataset, k=2)
-        broker = QueryBroker(registry, window_s=0.0, max_batch=8, cache=False)
+        broker = QueryBroker(registry, max_batch=8, cache=False)
         points = np.random.default_rng(13).normal(size=(3, 2))
 
         # The writer's script, fixed up front so the dataset at every

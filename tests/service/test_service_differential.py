@@ -83,7 +83,7 @@ def random_case(seed: int) -> dict:
 
 @pytest.fixture(scope="module")
 def service():
-    server = make_service(DatasetRegistry(), window_s=0.005, max_batch=8)
+    server = make_service(DatasetRegistry(), max_batch=8)
     client = ServiceClient(server.url)
     client.wait_until_ready()
     yield server, client

@@ -37,7 +37,7 @@ def small_dataset() -> IncompleteDataset:
 def service():
     registry = DatasetRegistry()
     registry.register("d", small_dataset(), k=2)
-    server = make_service(registry, window_s=0.005, max_batch=8)
+    server = make_service(registry, max_batch=8)
     client = ServiceClient(server.url)
     client.wait_until_ready()
     yield server, client

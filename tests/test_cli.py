@@ -68,7 +68,6 @@ class TestServeParser:
         assert args.host == "127.0.0.1"
         assert args.port == 8970
         assert args.recipe is None
-        assert args.window_ms == 10.0
         assert args.max_batch == 16
         assert args.max_pending == 256
         assert args.ttl == 30.0
@@ -78,14 +77,14 @@ class TestServeParser:
         args = build_parser().parse_args(
             [
                 "serve", "--port", "0", "--recipe", "bank",
-                "--dataset-name", "mine", "--window-ms", "2.5",
+                "--dataset-name", "mine",
                 "--max-batch", "64", "--max-pending", "8",
                 "--backend", "incremental", "--n-jobs", "-1", "--no-cache",
             ]
         )
         assert args.port == 0 and args.recipe == "bank"
         assert args.dataset_name == "mine"
-        assert args.window_ms == 2.5 and args.max_batch == 64
+        assert args.max_batch == 64
         assert args.max_pending == 8 and args.backend == "incremental"
         assert args.n_jobs == -1 and args.no_cache is True
 
@@ -95,11 +94,10 @@ class TestServeParser:
             build_parser().parse_args(["serve", flag, "0"])
         assert f"{flag} must be a positive integer" in capsys.readouterr().err
 
-    def test_serve_window_rejects_negative_at_parse_time(self, capsys):
+    def test_serve_window_flag_removed(self):
+        # Group commit batches without a timer; there is no window knob.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--window-ms", "-5"])
-        assert "--window-ms must be >= 0" in capsys.readouterr().err
-        assert build_parser().parse_args(["serve", "--window-ms", "0"]).window_ms == 0.0
+            build_parser().parse_args(["serve", "--window-ms", "5"])
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_serve_ttl_must_be_positive_at_parse_time(self, value, capsys):
@@ -107,7 +105,7 @@ class TestServeParser:
             build_parser().parse_args(["serve", "--ttl", value])
         assert "--ttl must be > 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--window-ms", "--ttl"])
+    @pytest.mark.parametrize("flag", ["--ttl", "--slow-ms"])
     @pytest.mark.parametrize("value", ["soon", "nan", "NaN"])
     def test_serve_float_flags_reject_non_numbers(self, flag, value, capsys):
         with pytest.raises(SystemExit):
